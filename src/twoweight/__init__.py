@@ -8,9 +8,7 @@ numerically.
 
 from .circle import CircleGrid, FourierSeries, MatrixSampleField, circle_mean, fourier_coefficients
 from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
-from .hardy import (HardyOperators, RationalTestFunction, apply_X, apply_Y,
-                    gram_identity_residual, hardy_projection, hilbert_transform,
-                    multiplication_residual, norm_estimate, random_test_functions)
+from .hardy import HardyOperators, RationalTestFunction, random_test_functions
 from .herglotz import HerglotzEvaluator, radial_limit
 from .model import (TruncatedModel, build_model, cross_validate, psi_direct,
                     spectral_nu1)
@@ -34,8 +32,6 @@ __all__ = [
     "TruncatedModel", "build_model", "cross_validate", "psi_direct",
     "spectral_nu1",
     "HardyOperators", "RationalTestFunction", "random_test_functions",
-    "hardy_projection", "apply_X", "apply_Y", "hilbert_transform",
-    "multiplication_residual", "gram_identity_residual", "norm_estimate",
     "Report", "SuiteConfig", "run_suite", "run_weight_checks", "parse_report",
     "KoosisResult", "koosis_pipeline", "nondegeneracy_report", "DEFAULT_SEED",
     "__version__",

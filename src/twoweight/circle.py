@@ -10,8 +10,16 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def next_power_of_two(n: int) -> int:
+    """Smallest power of two >= n (1 for n <= 1)."""
+    return 1 << max(0, int(n - 1)).bit_length()
+
+
+def check_grid_size(size: int) -> int:
+    """The command-line and suite grid range: a power of two in [64, 8192]."""
+    if size < 64 or size > 8192 or size != next_power_of_two(size):
+        raise ValueError(f"grid size must be a power of two in [64, 8192], got {size}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -28,7 +36,7 @@ class CircleGrid:
         size = int(self.size)
         if size != self.size:
             raise ValueError("grid size must be an integer")
-        if size < 16 or not _is_power_of_two(size):
+        if size < 16 or size != next_power_of_two(size):
             raise ValueError("grid size must be a power of two, at least 16")
         object.__setattr__(self, "size", size)
 
@@ -111,9 +119,33 @@ class FourierSeries:
         """Inverse transform back onto a grid of the same size."""
         if grid.size != self.coeffs.shape[0]:
             raise ValueError("synthesis grid must match the transform size")
+        # order n < 0 aliases to n + M on the grid
         spectrum = np.fft.ifftshift(self.coeffs, axes=0)
-        values = np.fft.ifft(spectrum, axis=0) * grid.size
-        return MatrixSampleField(grid, values)
+        return MatrixSampleField(grid, synthesize_series(spectrum, grid))
+
+
+def synthesize_series(coeffs: np.ndarray, grid: CircleGrid,
+                      radius: float = 1.0) -> np.ndarray:
+    """sum_{n=0}^{d} c_n r^n e^{i n theta_m} on every node by one inverse FFT.
+
+    coeffs has orders 0..d along axis 0; d < M keeps every order distinct.
+    """
+    m = grid.size
+    d = coeffs.shape[0] - 1
+    if d >= m:
+        raise ValueError("grid too coarse for the series degree")
+    spec = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
+    spec[:d + 1] = coeffs
+    damping = radius ** np.arange(1.0, d + 1.0)
+    spec[1:d + 1] *= damping.reshape((d,) + (1,) * (coeffs.ndim - 1))
+    return np.fft.ifft(spec, axis=0) * m
+
+
+def evaluate_series(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_{n=0}^{d} c_n z^n at each point of z; output shape z.shape + coeffs.shape[1:]."""
+    z = np.asarray(z, dtype=complex)
+    powers = z[..., None] ** np.arange(1, coeffs.shape[0])
+    return coeffs[0] + np.einsum("...n,nab->...ab", powers, coeffs[1:])
 
 
 def fourier_coefficients(field: MatrixSampleField) -> FourierSeries:

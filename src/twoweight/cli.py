@@ -21,16 +21,15 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .circle import CircleGrid
+from .circle import CircleGrid, check_grid_size
 from .debranges import build_system
-from .model import build_model, cross_validate, spectral_nu1
+from .model import SPECTRAL_CAP, build_model, cross_validate, spectral_nu1
 from .verify import (DEFAULT_SEED, SuiteConfig, koosis_pipeline,
                      nondegeneracy_report, parse_report, run_suite,
                      run_weight_checks)
 from .weights import (FIXTURE_NAMES, fixture, load_weight_spec, normalize,
                       weight_spec_document)
 
-SPECTRAL_CAP = 4096
 MODEL_POINTS = (0.3 + 0.0j, -0.2 + 0.35j, 0.45j)
 
 
@@ -43,10 +42,10 @@ def _grid_size(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 64 or value > 8192 or value & (value - 1):
-        raise argparse.ArgumentTypeError(
-            "grid size must be a power of two in [64, 8192]")
-    return value
+    try:
+        return check_grid_size(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _tolerance(text: str):
@@ -207,10 +206,8 @@ def _scalar_input(args):
         v0 = np.asarray(data, dtype=float)
         if v0.ndim != 1:
             raise ValueError("samples file must hold a flat list of values")
-        size = v0.size
-        if size < 64 or size > 8192 or size & (size - 1):
-            raise ValueError("sample count must be a power of two in [64, 8192]")
-        return v0, CircleGrid(size), args.samples, hashlib.sha256(blob).hexdigest()
+        grid = CircleGrid(check_grid_size(v0.size))
+        return v0, grid, args.samples, hashlib.sha256(blob).hexdigest()
     grid = CircleGrid(args.grid_size)
     if args.preset == "inverse-cos":
         with np.errstate(divide="ignore"):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .circle import CircleGrid
 from .herglotz import HerglotzEvaluator, neville_extrapolate
-from .weights import MatrixWeight, moment_zero
+from .weights import MatrixWeight, hermitian_part, moment_zero, psd_rebuild
 
 COND_CUTOFF = 1e8
 FLAG_TOL = 1e-8
@@ -21,31 +21,23 @@ LADDER_HI = 20
 LADDER_TAIL = 8
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _cond(a: np.ndarray) -> float:
-    """||A^-1|| * max(1, ||A||): collapses to 1/sigma_min for small matrices,
-    so it still flags scalar values shrinking to zero."""
-    s = np.linalg.svd(a, compute_uv=False)
-    smin = float(s.min())
-    if smin == 0.0:
-        return np.inf
-    return max(1.0, float(s.max())) / smin
-
-
 def _cond_batch(values: np.ndarray) -> np.ndarray:
+    """||A^-1|| * max(1, ||A||) per matrix: collapses to 1/sigma_min for
+    small matrices, so it still flags scalar values shrinking to zero."""
     s = np.linalg.svd(values, compute_uv=False)
     smin = s.min(axis=-1)
     smax = np.maximum(1.0, s.max(axis=-1))
     with np.errstate(divide="ignore"):
         out = np.where(smin > 0.0, smax / np.where(smin > 0.0, smin, 1.0), np.inf)
     return out
+
+
+def _cond(a: np.ndarray) -> float:
+    return float(_cond_batch(a[None])[0])
 
 
 @dataclass(frozen=True)
@@ -108,18 +100,6 @@ class DeBrangesSystem:
         eye = np.eye(self.dim)
         return max(_opnorm(left @ right - eye), _opnorm(right @ left - eye))
 
-    def d0_boundary(self, theta: float, side: str = "inner"):
-        """Boundary value of D0 and its condition number at one angle."""
-        value = self.alpha + self.psi0.boundary_profile(np.asarray(theta, float), side)
-        return value, _cond(value)
-
-    def d1_boundary(self, theta: float, side: str = "inner"):
-        """-(D0 boundary)^-1 where the condition number permits, else None."""
-        value, cond = self.d0_boundary(theta, side)
-        if cond > self.cond_cutoff:
-            return None, cond
-        return -np.linalg.inv(value), cond
-
     def boundary_profile(self, grid: CircleGrid, side: str = "inner"):
         """D0 boundary values and condition numbers on all grid nodes."""
         base = self.psi0.ring_values(1.0, grid)
@@ -157,12 +137,10 @@ class DeBrangesSystem:
         estimates = np.abs(correction).max(axis=(-1, -2))
         flags = diverged | (estimates > FLAG_TOL)
 
-        value = _hermitize(value)
-        lam, vec = np.linalg.eigh(value)
+        lam, vec = np.linalg.eigh(hermitian_part(value))
         # PSD failure beyond roundoff means the limit was not resolved: flag it
         flags = flags | (lam.min(axis=-1) < -PSD_CLAMP)
-        lam = np.maximum(lam, 0.0)
-        value = _hermitize(np.einsum("mij,mj,mkj->mik", vec, lam, np.conj(vec)))
+        value = psd_rebuild(vec, np.maximum(lam, 0.0))
 
         for node in np.nonzero(flags)[0]:
             value[node] = self._last_psd_iterate(ladder[:, node])
@@ -182,19 +160,18 @@ class DeBrangesSystem:
     @staticmethod
     def _last_psd_iterate(node_ladder: np.ndarray) -> np.ndarray:
         for j in range(node_ladder.shape[0] - 1, -1, -1):
-            candidate = _hermitize(node_ladder[j])
+            candidate = hermitian_part(node_ladder[j])
             if not np.all(np.isfinite(candidate)):
                 continue
-            lam = np.linalg.eigvalsh(candidate)
+            lam, vec = np.linalg.eigh(candidate)
             if lam.min() >= -PSD_CLAMP:
-                lam_c, vec = np.linalg.eigh(candidate)
-                return _hermitize((vec * np.maximum(lam_c, 0.0)) @ vec.conj().T)
+                return psd_rebuild(vec, np.maximum(lam, 0.0))
         return np.zeros_like(node_ladder[0])
 
     def companion_weight_reconstructed(self, theta: float) -> np.ndarray:
         """(D0+)^-* w0 (D0+)^-1 at one angle: the independent route to w1."""
-        value, cond = self.d0_boundary(theta, "inner")
-        if cond > self.cond_cutoff:
+        value = self.alpha + self.psi0.boundary_profile(np.asarray(theta, float))
+        if _cond(value) > self.cond_cutoff:
             raise ValueError(f"D0 boundary numerically singular at theta = {theta}")
         inv = np.linalg.inv(value)
         w0v = self.weight.value_at(theta)
@@ -211,9 +188,8 @@ def build_system(w0: MatrixWeight, cond_cutoff: float = COND_CUTOFF) -> DeBrange
     gg = moment_zero(w0)
     lam, vec = np.linalg.eigh(gg)
     lam = np.where(np.abs(lam - 1.0) <= SNAP_ONE, 1.0, lam)
-    gg = _hermitize((vec * lam) @ vec.conj().T)
-    alpha_lam = np.sqrt(np.clip(1.0 - lam ** 2, 0.0, 1.0))
-    alpha = _hermitize((vec * alpha_lam) @ vec.conj().T)
+    gg = psd_rebuild(vec, lam)
+    alpha = psd_rebuild(vec, np.sqrt(np.clip(1.0 - lam ** 2, 0.0, 1.0)))
     return DeBrangesSystem(
         gg_star=gg,
         alpha=alpha,

@@ -5,21 +5,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import CircleGrid, TWO_PI
+from .circle import CircleGrid, TWO_PI, next_power_of_two
 from .debranges import CompanionWeightResult, DeBrangesSystem, _cond
 from .herglotz import pair_kernel_quadrature
 from .weights import MatrixWeight
 
 DELTA_POLE = 1e-3
 RICHARDSON_WEIGHTS = (8.0 / 3.0, -2.0, 1.0 / 3.0)
-
-
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(0, int(n - 1)).bit_length()
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ def _clearance_grid(standoff: float, base: Optional[CircleGrid]) -> CircleGrid:
         if base.size < need:
             raise ValueError("pole too close to the circle for this grid")
         return base
-    return CircleGrid(max(64, _next_power_of_two(need)))
+    return CircleGrid(max(64, next_power_of_two(need)))
 
 
 def weighted_inner(f: RationalTestFunction, g: RationalTestFunction,
@@ -239,9 +236,7 @@ class HardyOperators:
         """+-(i/2)((Xf)(theta) - (Y_+- f)(theta)); flagged rows zeroed."""
         sign = 1.0 if side == "+" else -1.0
         xf = self.apply_x(f).evaluate_on(self.grid)
-        mult = self.d0_inner if side == "+" else self.d0_outer
-        yf = np.einsum("mkl,ml->mk", mult, f.evaluate_on(self.grid))
-        out = sign * 0.5j * (xf - yf)
+        out = sign * 0.5j * (xf - self.apply_y(f, side))
         return np.where(self.unflagged[:, None], out, 0.0)
 
     def hilbert(self, f: RationalTestFunction) -> np.ndarray:
@@ -292,7 +287,11 @@ class HardyOperators:
     def hilbert_quadrature(self, f: RationalTestFunction, offset: float = 10.0,
                            oversample: int = 8, richardson: bool = True) -> np.ndarray:
         """Convolution against the kernel 2 sin(theta-t)/(1+r^2-2r cos(theta-t))
-        at r = 1 - 10/M (optionally Richardson-extrapolated over r)."""
+        at r = 1 - 10/M (optionally Richardson-extrapolated over r).
+
+        The trapezoid sum over the oversampled grid is one circular
+        convolution there, done by FFT and read off at the coarse nodes.
+        """
         m = self.grid.size
         fine = CircleGrid(oversample * m)
         w0_fine = self.system.weight.samples_on(fine)
@@ -300,19 +299,21 @@ class HardyOperators:
         eps0 = offset / m
         radii = [eps0, 2 * eps0, 4 * eps0] if richardson else [eps0]
         weights = RICHARDSON_WEIGHTS if richardson else (1.0,)
-        acc = np.zeros((m, f.dim), dtype=complex)
-        block = max(1, (1 << 22) // fine.size)
-        for start in range(0, m, block):
-            lag = self.grid.nodes[start:start + block, None] - fine.nodes[None, :]
-            sin_lag = np.sin(lag)
-            cos_lag = np.cos(lag)
-            for eps, cw in zip(radii, weights):
-                r = 1.0 - eps
-                kernel = 2.0 * sin_lag / (1.0 + r * r - 2.0 * r * cos_lag)
-                acc[start:start + block] += cw * (kernel @ gv) / fine.size
-        return acc
+        sin_lag = np.sin(fine.nodes)
+        cos_lag = np.cos(fine.nodes)
+        kernel = np.zeros(fine.size)
+        for eps, cw in zip(radii, weights):
+            r = 1.0 - eps
+            kernel += cw * 2.0 * sin_lag / (1.0 + r * r - 2.0 * r * cos_lag)
+        spectrum = np.fft.fft(kernel)[:, None] * np.fft.fft(gv, axis=0)
+        return np.fft.ifft(spectrum, axis=0)[::oversample] / fine.size
 
     # -- bilinear identities ---------------------------------------------
+
+    @cached_property
+    def _pair_field(self):
+        """w0 on the quadrature grid of the Gram identity, built once."""
+        return self.system.weight.field_on(CircleGrid(max(1024, self.grid.size)))
 
     def gram_identity_residual(self, z1: complex, z2: complex) -> float:
         """Residual of the two-point Gram identity: the w0-side quadrature of
@@ -323,9 +324,7 @@ class HardyOperators:
         denom = 1.0 - z1 * np.conj(z2)
         if abs(denom) < 1e-12:
             raise ValueError("pair lies on the reflection locus z1 conj(z2) = 1")
-        qgrid = CircleGrid(max(1024, self.grid.size))
-        field = self.system.weight.field_on(qgrid)
-        lhs = pair_kernel_quadrature(z1, z2, field)
+        lhs = pair_kernel_quadrature(z1, z2, self._pair_field)
         p1 = self.system.psi1(z1)
         p2 = self.system.psi1(z2)
         core = (p1 - p2.conj().T) / (2j * denom)
@@ -383,52 +382,3 @@ class HardyOperators:
         num = _field_norm2(images, self.w1_samples, self.unflagged, m)
         den = _field_norm2(sources, self.w0_samples, None, m)
         return num / den
-
-
-# -- module-level convenience wrappers ------------------------------------
-
-def hardy_projection(f: RationalTestFunction, side: str,
-                     system: DeBrangesSystem, grid: Optional[CircleGrid] = None,
-                     method: str = "identity") -> np.ndarray:
-    ops = HardyOperators.build(system, grid=grid)
-    if method == "identity":
-        return ops.project(f, side)
-    if method == "quadrature":
-        return ops.project_quadrature(f, side)
-    raise ValueError("method must be 'identity' or 'quadrature'")
-
-
-def apply_X(f: RationalTestFunction, system: DeBrangesSystem) -> RationalTestFunction:
-    rotated = np.empty_like(f.coefficients)
-    for i, z in enumerate(f.poles):
-        d = system.d0(complex(z))
-        if _cond(d) > system.cond_cutoff:
-            raise ValueError(f"D0 numerically singular at pole z = {z}")
-        rotated[i] = d @ f.coefficients[i]
-    return RationalTestFunction(f.poles.copy(), rotated, f.delta_pole)
-
-
-def apply_Y(f: RationalTestFunction, side: str, system: DeBrangesSystem,
-            grid: Optional[CircleGrid] = None) -> np.ndarray:
-    return HardyOperators.build(system, grid=grid).apply_y(f, side)
-
-
-def hilbert_transform(f: RationalTestFunction, system: DeBrangesSystem,
-                      grid: Optional[CircleGrid] = None) -> np.ndarray:
-    return HardyOperators.build(system, grid=grid).hilbert(f)
-
-
-def multiplication_residual(f: RationalTestFunction, system: DeBrangesSystem,
-                            grid: Optional[CircleGrid] = None) -> float:
-    return HardyOperators.build(system, grid=grid).multiplication_residual(f)
-
-
-def gram_identity_residual(z1: complex, z2: complex, system: DeBrangesSystem,
-                           grid: Optional[CircleGrid] = None) -> float:
-    return HardyOperators.build(system, grid=grid).gram_identity_residual(z1, z2)
-
-
-def norm_estimate(op: str, basis: Sequence[RationalTestFunction],
-                  system: DeBrangesSystem,
-                  grid: Optional[CircleGrid] = None) -> float:
-    return HardyOperators.build(system, grid=grid).norm_estimate(op, basis)

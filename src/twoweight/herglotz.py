@@ -3,16 +3,19 @@ boundary limits, and the jump recovering the weight."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .circle import CircleGrid, MatrixSampleField
+from .circle import CircleGrid, MatrixSampleField, evaluate_series, synthesize_series
 from .weights import MatrixWeight
 
 DELTA_MIN = 1e-8
-TRIM_TOL = 1e-14
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,11 @@ def radial_limit(fn: Callable[[float], np.ndarray], side: str = "inner",
 class HerglotzEvaluator:
     """psi(z) = i * integral (e^it + z)/(e^it - z) w(e^it) dt/2pi from the
     Fourier data of w.  coeffs holds orders 0..N; negative orders are implied
-    by Hermitian symmetry."""
+    by Hermitian symmetry.  Inside the disc psi = iF with the series
+    F(z) = W(0) + 2 sum W(n) z^n; outside psi(z) = psi(1/conj z)*."""
 
     coeffs: np.ndarray
+    series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -88,22 +93,14 @@ class HerglotzEvaluator:
         zero = coeffs[0]
         if np.abs(zero - zero.conj().T).max() > 1e-10:
             raise ValueError("zeroth coefficient must be Hermitian")
+        series = coeffs.copy()
+        series[1:] *= 2.0
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "series", series)
 
     @classmethod
     def from_weight(cls, w: MatrixWeight) -> "HerglotzEvaluator":
-        if w.kind == "fourier":
-            return cls(coeffs=w.fourier)
-        m = w.grid.size
-        spectrum = np.fft.fft(w.values, axis=0) / m
-        coeffs = spectrum[: m // 2]
-        # trim trailing negligible orders so band-limited data stays compact
-        mags = np.abs(coeffs).max(axis=(1, 2))
-        scale = mags.max()
-        keep = m // 2
-        while keep > 1 and mags[keep - 1] <= TRIM_TOL * scale:
-            keep -= 1
-        return cls(coeffs=coeffs[:keep])
+        return cls(coeffs=w.coefficients)
 
     @property
     def dim(self) -> int:
@@ -113,48 +110,22 @@ class HerglotzEvaluator:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def _adjoint_coeffs(self) -> np.ndarray:
-        return np.conj(np.swapaxes(self.coeffs, -1, -2))
-
-    def series_inside(self, zs: np.ndarray) -> np.ndarray:
-        """i [W(0) + 2 sum_{n>=1} W(n) z^n] for points strictly inside."""
-        zs = np.asarray(zs, dtype=complex)
-        d = self.degree
-        if d == 0:
-            tail = np.zeros(zs.shape + self.coeffs.shape[1:], dtype=complex)
-        else:
-            powers = zs[..., None] ** np.arange(1, d + 1)
-            tail = np.einsum("...n,nab->...ab", powers, self.coeffs[1:])
-        return 1j * (self.coeffs[0] + 2.0 * tail)
-
-    def series_outside(self, zs: np.ndarray) -> np.ndarray:
-        """-i [W(0) + 2 sum_{n>=1} W(n)* z^-n] for points strictly outside."""
-        zs = np.asarray(zs, dtype=complex)
-        adj = self._adjoint_coeffs()
-        d = self.degree
-        if d == 0:
-            tail = np.zeros(zs.shape + adj.shape[1:], dtype=complex)
-        else:
-            powers = (1.0 / zs)[..., None] ** np.arange(1, d + 1)
-            tail = np.einsum("...n,nab->...ab", powers, adj[1:])
-        return -1j * (adj[0] + 2.0 * tail)
-
     def psi(self, z: complex) -> np.ndarray:
         z = complex(z)
         if abs(1.0 - abs(z)) < DELTA_MIN:
             raise ValueError("z too close to the circle; use boundary operations")
         if abs(z) < 1.0:
-            return self.series_inside(np.array(z, dtype=complex))
-        return self.series_outside(np.array(z, dtype=complex))
+            return 1j * evaluate_series(self.series, z)
+        return _adjoint(1j * evaluate_series(self.series, 1.0 / np.conj(z)))
 
     def boundary(self, theta, side: str = "inner",
                  method: str = "exact") -> RadialLimit:
         """Radial boundary value of psi at e^{i theta}.
 
         The evaluator always holds a finite coefficient list, so the inner
-        limit is the exact finite sum i[W(0) + 2 sum W(n) e^{i n theta}] and
-        the outer limit its adjoint; the Richardson ladder over
-        r = 1 -+ 2^-j, j = 6..14 is kept as a cross-checking mode.
+        limit is the exact finite sum iF(e^{i theta}) and the outer limit its
+        adjoint; the Richardson ladder over r = 1 -+ 2^-j, j = 6..14 is kept
+        as a cross-checking mode.
         """
         if side not in ("inner", "outer"):
             raise ValueError("side must be 'inner' or 'outer'")
@@ -162,64 +133,32 @@ class HerglotzEvaluator:
             value = self.boundary_profile(np.asarray(theta, dtype=float), side)
             return RadialLimit(value=value, estimate=0.0, converged=True)
         if method == "ladder":
-            theta = float(theta)
-            point = np.exp(1j * theta)
-            if side == "inner":
-                return radial_limit(lambda r: self.series_inside(np.array(r * point)),
-                                    side="inner")
-            return radial_limit(lambda r: self.series_outside(np.array(r * point)),
-                                side="outer")
+            point = np.exp(1j * float(theta))
+            return radial_limit(lambda r: self.psi(r * point), side=side)
         raise ValueError("method must be 'exact' or 'ladder'")
 
     def boundary_profile(self, theta: np.ndarray, side: str = "inner") -> np.ndarray:
         """Exact boundary values, vectorized over angles."""
-        theta = np.asarray(theta, dtype=float)
-        d = self.degree
-        if d == 0:
-            inner = np.broadcast_to(1j * self.coeffs[0],
-                                    theta.shape + self.coeffs.shape[1:]).copy()
-        else:
-            phases = np.exp(1j * theta[..., None] * np.arange(1, d + 1))
-            tail = np.einsum("...n,nab->...ab", phases, self.coeffs[1:])
-            inner = 1j * (self.coeffs[0] + 2.0 * tail)
-        if side == "inner":
-            return inner
-        return np.conj(np.swapaxes(inner, -1, -2))
+        inner = 1j * evaluate_series(self.series, np.exp(1j * np.asarray(theta, dtype=float)))
+        return inner if side == "inner" else _adjoint(inner)
 
     def jump(self, theta) -> np.ndarray:
         """(1/2i)(psi_inner - psi_outer) at e^{i theta}: recovers the density."""
-        theta = np.asarray(theta, dtype=float)
         plus = self.boundary_profile(theta, "inner")
-        minus = self.boundary_profile(theta, "outer")
-        return (plus - minus) / 2j
+        return (plus - _adjoint(plus)) / 2j
 
     def ring_values(self, r: float, grid: CircleGrid) -> np.ndarray:
         """psi(r e^{i theta_m}) on all grid nodes at once via an inverse FFT.
 
-        r < 1 uses the interior series, r > 1 the exterior one; r = 1 gives
-        the exact inner boundary profile.  Equivalent to the pointwise series
-        but O(M log M) in the grid size.
+        r <= 1 synthesizes iF on the ring (r = 1 gives the exact inner
+        boundary profile); r > 1 reflects the ring at radius 1/r.  Equivalent
+        to the pointwise series but O(M log M) in the grid size.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        m = grid.size
-        d = self.degree
-        if d >= m:
-            raise ValueError("grid too coarse for ring synthesis")
-        k = self.dim
-        spec = np.zeros((m, k, k), dtype=complex)
-        if r <= 1.0:
-            spec[0] = self.coeffs[0]
-            if d >= 1:
-                damping = r ** np.arange(1.0, d + 1.0)
-                spec[1:d + 1] = 2.0 * self.coeffs[1:] * damping[:, None, None]
-            return 1j * np.fft.ifft(spec, axis=0) * m
-        adj = self._adjoint_coeffs()
-        spec[0] = adj[0]
-        if d >= 1:
-            damping = (1.0 / r) ** np.arange(1.0, d + 1.0)
-            spec[m - d:] = (2.0 * adj[1:] * damping[:, None, None])[::-1]
-        return -1j * np.fft.ifft(spec, axis=0) * m
+        if r > 1.0:
+            return _adjoint(self.ring_values(1.0 / r, grid))
+        return 1j * synthesize_series(self.series, grid, r)
 
 
 def psi_quadrature(z: complex, field: MatrixSampleField) -> np.ndarray:

@@ -13,18 +13,14 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .circle import CircleGrid, TWO_PI
+from .circle import CircleGrid, TWO_PI, next_power_of_two
 from .debranges import DeBrangesSystem
-from .weights import MatrixWeight, _clean_psd_samples
+from .weights import MatrixWeight, _clean_psd_samples, psd_rebuild
 
 BUILD_CAP = 8192
 SPECTRAL_CAP = 4096
 SNAP_ONE = 1e-12
 TRUNCATION_BAND = 0.05
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class TruncatedModel:
 
 def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
     """Assemble the model on `size` nodes; size a power of two, M*k <= 8192."""
-    if not _is_power_of_two(size) or size < 4:
+    if size < 4 or size != next_power_of_two(size):
         raise ValueError("model size must be a power of two, at least 4")
     k = w0.dim
     if size * k > BUILD_CAP:
@@ -62,7 +58,7 @@ def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
     else:
         samples = _clean_psd_samples(w0.value_at(nodes))
     lam, vec = np.linalg.eigh(samples)
-    roots = np.einsum("mij,mj,mkj->mik", vec, np.sqrt(np.maximum(lam, 0.0)), np.conj(vec))
+    roots = psd_rebuild(vec, np.sqrt(np.maximum(lam, 0.0)))
 
     g = np.zeros((k, size * k), dtype=complex)
     for m in range(size):
@@ -98,7 +94,7 @@ def _model_alpha(gg: np.ndarray) -> np.ndarray:
     # construction; sqrt(1 - lam^2) amplifies that rounding to ~1e-8 otherwise
     lam, vec = np.linalg.eigh(gg)
     lam = np.where(lam > 1.0 - 1e-12, 1.0, lam)
-    return (vec * np.sqrt(np.clip(1.0 - lam * lam, 0.0, None))) @ vec.conj().T
+    return psd_rebuild(vec, np.sqrt(np.clip(1.0 - lam * lam, 0.0, None)))
 
 
 def model_identity_residual(model: TruncatedModel, z: complex) -> float:
@@ -117,7 +113,7 @@ def intertwine_residual(model: TruncatedModel) -> float:
     """||alpha G - G beta||_2 with beta = cos(Theta/2) = sqrt(I - (G*G)^2)."""
     alpha = _model_alpha(model.gg_star)
     lam_b, vec_b = np.linalg.eigh(0.5 * model.theta)
-    beta = (vec_b * np.cos(lam_b)) @ vec_b.conj().T
+    beta = psd_rebuild(vec_b, np.cos(lam_b))
     return float(np.linalg.norm(alpha @ model.g - model.g @ beta, 2))
 
 

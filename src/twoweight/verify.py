@@ -17,7 +17,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .circle import CircleGrid, TWO_PI, circle_mean, fourier_coefficients, poisson_kernel
+from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean,
+                     fourier_coefficients, poisson_kernel)
 from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
 from .hardy import (HardyOperators, RationalTestFunction, gram_norm_estimate,
                     random_test_functions, weighted_inner)
@@ -26,7 +27,7 @@ from .model import (build_model, cross_validate, intertwine_residual,
                     model_identity_residual, spectral_nu1)
 from .weights import (FIXTURE_NAMES, MatrixWeight, _as_scalar_samples,
                       _mean_schatten_norm, fixture, koosis_transform,
-                      load_weight_spec, muckenhoupt_sup, normalize,
+                      load_weight_spec, muckenhoupt_sup, normalize, psd_rebuild,
                       random_polynomial_weight, save_weight_spec)
 
 DEFAULT_SEED = 1729
@@ -154,9 +155,7 @@ class SuiteConfig:
             raise ValueError("random_weights must be >= 0")
         if not 1 <= self.random_dim <= 4:
             raise ValueError("random_dim must lie in [1, 4]")
-        m = self.grid_size
-        if m < 64 or m > 8192 or m & (m - 1):
-            raise ValueError("grid_size must be a power of two in [64, 8192]")
+        check_grid_size(self.grid_size)
         # 0 is allowed as an explicit probe of the floating-point floor
         for key, tol in self.tolerances.items():
             if not np.isfinite(tol) or tol < 0:
@@ -260,8 +259,7 @@ def _imag_part(a: np.ndarray) -> np.ndarray:
 
 def _sqrt_psd(values: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(values)
-    lam = np.sqrt(np.clip(lam, 0.0, None))
-    return np.einsum("...ij,...j,...kj->...ik", vec, lam, np.conj(vec))
+    return psd_rebuild(vec, np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def _opnorms(values: np.ndarray) -> np.ndarray:
@@ -688,10 +686,9 @@ def _check_y_isometry(fx, ctx, rng):
 def _check_x_gram_preservation(fx, ctx, rng):
     ops = ctx.ops(fx, CONTRACTION_GRID)
     basis = random_test_functions(rng, 8, ops.system.dim)
-    diff = ops.x_gram_residual(basis)
     data = ops.gram_data("X", basis)
     scale = 1.0 + float(np.abs(data.gram0).max())
-    return float(np.abs(diff).max()) / scale
+    return float(np.abs(data.gram0 - data.gram1).max()) / scale
 
 
 def _check_x_gram_onesided(fx, ctx, rng):

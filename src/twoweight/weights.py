@@ -9,19 +9,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .circle import CircleGrid, MatrixSampleField, circle_mean
+from .circle import (CircleGrid, MatrixSampleField, circle_mean, evaluate_series,
+                     next_power_of_two, synthesize_series)
 
 HERMITIAN_TOL = 1e-10
 PSD_CLAMP = 1e-10
 VANISH_TOL = 1e-14
+TRIM_TOL = 1e-14
 
 
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(0, int(n - 1)).bit_length()
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 over the last two axes."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+def psd_rebuild(vec: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """V diag(lam) V* from an eigendecomposition (batched over leading axes),
+    made exactly Hermitian: the one way a matrix function is rebuilt."""
+    return hermitian_part((vec * lam[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2)))
 
 
 def _clean_psd_samples(values: np.ndarray) -> np.ndarray:
@@ -52,10 +62,20 @@ def _clean_psd_samples(values: np.ndarray) -> np.ndarray:
             f"weight sample is not positive semidefinite (min eigenvalue {lam.min():.3e})"
         )
     if lam.min() < 0.0:
-        lam = np.maximum(lam, 0.0)
-        values = np.einsum("mij,mj,mkj->mik", vec, lam, np.conj(vec))
-        values = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+        values = psd_rebuild(vec, np.maximum(lam, 0.0))
     return values
+
+
+def _trimmed_coefficients(values: np.ndarray) -> np.ndarray:
+    """Orders 0..M/2-1 of the trigonometric interpolant of M samples, with
+    trailing negligible orders trimmed so band-limited data stays compact."""
+    m = values.shape[0]
+    coeffs = (np.fft.fft(values, axis=0) / m)[: m // 2]
+    mags = np.abs(coeffs).max(axis=(1, 2))
+    keep = m // 2
+    while keep > 1 and mags[keep - 1] <= TRIM_TOL * mags.max():
+        keep -= 1
+    return coeffs[:keep]
 
 
 @dataclass(frozen=True)
@@ -63,8 +83,10 @@ class MatrixWeight:
     """Hermitian PSD matrix weight, held as Fourier coefficients or samples.
 
     Fourier form stores orders n = 0..d only; negative orders are implied by
-    the Hermitian symmetry W_hat(-n) = W_hat(n)*.  schatten_p is carried with
-    the weight because normalization depends on it.
+    the Hermitian symmetry W_hat(-n) = W_hat(n)*.  Both forms compute these
+    analytic coefficients once (`coefficients`), and every realization of
+    the weight evaluates that one series.  schatten_p is carried with the
+    weight because normalization depends on it.
     """
 
     kind: str
@@ -123,12 +145,21 @@ class MatrixWeight:
         return cls(kind="samples", dim=values.shape[1], schatten_p=schatten_p,
                    grid=grid, values=values)
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Analytic Fourier coefficients W(0..d), computed once; W(-n) = W(n)*.
+
+        Sampled weights take the orders 0..M/2-1 of their trigonometric
+        interpolant, trimmed of trailing negligible orders.
+        """
+        if self.kind == "fourier":
+            return self.fourier
+        return _trimmed_coefficients(self.values)
+
     @property
     def degree(self) -> int:
-        """Trigonometric degree bound of the representation."""
-        if self.kind == "fourier":
-            return self.fourier.shape[0] - 1
-        return self.grid.size // 2
+        """Trigonometric degree of the coefficient list."""
+        return self.coefficients.shape[0] - 1
 
     def natural_grid(self) -> CircleGrid:
         """Default realization grid: M >= max(64, 8(d+1)) keeps aliasing
@@ -136,32 +167,23 @@ class MatrixWeight:
         if self.kind == "samples":
             return self.grid
         wanted = max(64, 8 * (self.degree + 1))
-        return CircleGrid(_next_power_of_two(wanted))
+        return CircleGrid(next_power_of_two(wanted))
 
     def samples_on(self, grid: CircleGrid) -> np.ndarray:
-        """Realize the weight as (M, k, k) PSD samples on the given grid."""
+        """Realize the weight as (M, k, k) PSD samples on the given grid.
+
+        Fourier form: the exact series at the nodes.  Sampled form: the
+        stored samples on their own grid, the shared nodes on a coarser
+        (dyadic) grid, and the band-limited interpolant with orders
+        |n| < M0/2 on a finer one.
+        """
         if self.kind == "samples":
-            if grid.size == self.grid.size:
-                return self.values.copy()
-            if grid.size < self.grid.size:
-                raise ValueError("cannot resample onto a coarser grid")
-            series = np.fft.fftshift(np.fft.fft(self.values, axis=0), axes=0)
-            series /= self.grid.size
-            pad = (grid.size - self.grid.size) // 2
-            widths = ((pad, pad), (0, 0), (0, 0))
-            padded = np.pad(series, widths)
-            upsampled = np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0)
-            return _clean_psd_samples(upsampled * grid.size)
-        d = self.degree
-        if grid.size < 2 * (d + 1):
+            if grid.size <= self.grid.size:
+                return self.values[::self.grid.size // grid.size].copy()
+            return _clean_psd_samples(self._realize(synthesize_series, grid))
+        if grid.size < 2 * (self.degree + 1):
             raise ValueError("grid too coarse for the weight degree")
-        if d == 0:
-            vals = np.broadcast_to(self.fourier[0], (grid.size, self.dim, self.dim))
-            return _clean_psd_samples(np.array(vals))
-        phases = np.exp(1j * np.outer(grid.nodes, np.arange(1, d + 1)))
-        analytic = np.einsum("mn,nij->mij", phases, self.fourier[1:])
-        vals = self.fourier[0][None] + analytic + np.conj(np.swapaxes(analytic, -1, -2))
-        return _clean_psd_samples(vals)
+        return _clean_psd_samples(self.value_at(grid.nodes))
 
     def field_on(self, grid: CircleGrid) -> MatrixSampleField:
         return MatrixSampleField(grid, self.samples_on(grid))
@@ -169,22 +191,16 @@ class MatrixWeight:
     def value_at(self, theta) -> np.ndarray:
         """Pointwise value: exact series in Fourier form, band-limited
         trigonometric interpolation in sampled form."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "fourier":
-            coeffs = self.fourier
-            d = self.degree
-        else:
-            m = self.grid.size
-            spectrum = np.fft.fft(self.values, axis=0) / m
-            coeffs = spectrum[: m // 2]
-            d = coeffs.shape[0] - 1
-        if d == 0:
-            vals = np.broadcast_to(coeffs[0], theta.shape + coeffs.shape[1:]).copy()
-        else:
-            phases = np.exp(1j * theta[..., None] * np.arange(1, d + 1))
-            analytic = np.einsum("...n,nab->...ab", phases, coeffs[1:])
-            vals = coeffs[0] + analytic + np.conj(np.swapaxes(analytic, -1, -2))
-        return 0.5 * (vals + np.conj(np.swapaxes(vals, -1, -2)))
+        points = np.exp(1j * np.asarray(theta, dtype=float))
+        return self._realize(evaluate_series, points)
+
+    def _realize(self, series_fn, where) -> np.ndarray:
+        """w = W(0) + T + T* with T = sum_{n>=1} W(n) z^n evaluated by
+        series_fn (evaluate_series at points, synthesize_series on a grid)."""
+        tail = self.coefficients.copy()
+        tail[0] = 0.0
+        t = series_fn(tail, where)
+        return hermitian_part(self.coefficients[0] + t + np.conj(np.swapaxes(t, -1, -2)))
 
     def scaled(self, factor: float) -> "MatrixWeight":
         if factor < 0:
@@ -228,14 +244,11 @@ def normalize(w: MatrixWeight) -> MatrixWeight:
 def moment_zero(w: MatrixWeight, grid: Optional[CircleGrid] = None) -> np.ndarray:
     """Circle mean of the weight: a Hermitian PSD contraction for normalized input."""
     grid = grid or w.natural_grid()
-    mean = circle_mean(w.field_on(grid))
-    mean = 0.5 * (mean + mean.conj().T)
+    mean = hermitian_part(circle_mean(w.field_on(grid)))
     lam, vec = np.linalg.eigh(mean)
     if lam.max(initial=0.0) > 1.0 + 1e-6:
         raise ValueError("normalization violated")
-    lam = np.clip(lam, 0.0, 1.0)
-    out = (vec * lam) @ vec.conj().T
-    return 0.5 * (out + out.conj().T)
+    return psd_rebuild(vec, np.clip(lam, 0.0, 1.0))
 
 
 def _as_scalar_samples(v, grid: Optional[CircleGrid]) -> tuple[np.ndarray, CircleGrid]:

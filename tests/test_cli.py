@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from twoweight.circle import CircleGrid
 from twoweight.cli import main
 from twoweight.verify import parse_report
-from twoweight.weights import fixture, save_weight_spec
+from twoweight.weights import (MatrixWeight, fixture, random_polynomial_weight,
+                               save_weight_spec)
 
 
 def _read(path):
@@ -115,6 +117,15 @@ def test_verify_weight_spec_report(tmp_path, capsys):
     rc = main(["report", str(report_path)])
     assert rc == 0
     assert "-> pass" in capsys.readouterr().out
+
+    # sampled input: the model checks realise it on a coarser grid (128 nodes)
+    grid = CircleGrid(256)
+    band = random_polynomial_weight(np.random.default_rng(11), 2)
+    spec = tmp_path / "band_k2_256.json"
+    save_weight_spec(MatrixWeight.from_samples(band.samples_on(grid), grid), spec)
+    rc = main(["verify", "--weight-spec", str(spec), "-o", str(report_path)])
+    assert rc == 0
+    assert parse_report(_read(report_path)).passed
 
 
 def test_verify_fixtures_zero_tolerance_fails(tmp_path):

@@ -59,6 +59,22 @@ def test_value_at_matches_samples():
     assert np.abs(direct - w.samples_on(grid)).max() < 1e-12
 
 
+def test_sampled_weight_resampling():
+    grid = CircleGrid(64)
+    values = 1.0 + 0.3 * np.cos(32 * grid.nodes)
+    w = MatrixWeight.from_samples(values)
+    # coarser dyadic grid: the shared nodes
+    coarse = w.samples_on(CircleGrid(16))
+    assert np.array_equal(coarse[:, 0, 0].real, values[::4])
+    # finer grid: band-limited interpolant, |n| < 32, so the Nyquist-order
+    # cos(32 theta) is dropped and the field stays Hermitian PSD
+    fine = w.samples_on(CircleGrid(128))
+    assert np.abs(fine - np.conj(np.swapaxes(fine, -1, -2))).max() == 0.0
+    assert np.linalg.eigvalsh(fine).min() >= 0.0
+    assert np.abs(fine - 1.0).max() < 1e-14
+    assert np.abs(w.value_at(CircleGrid(128).nodes) - fine).max() < 1e-14
+
+
 def test_spec_roundtrip(tmp_path):
     for name in FIXTURE_NAMES:
         w = fixture(name)
