@@ -62,12 +62,14 @@ def _tolerance(text: str):
     return name, value
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of `chunks` in order; `chunks` may be a generator, so
+    a large table is never held in memory as one string."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoweight-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,16 +122,20 @@ def _cmd_construct(args) -> int:
     for i in range(k):
         for j in range(k):
             cols.extend([f"w1_{i}{j}_re", f"w1_{i}{j}_im"])
-    rows = [",".join(cols)]
-    w1 = result.w1.values
-    for idx, theta in enumerate(result.grid.nodes):
-        cells = [_fmt(theta), str(int(result.singular_flags[idx])),
-                 _fmt(result.cond_profile[idx])]
-        for i in range(k):
-            for j in range(k):
-                cells.extend([_fmt(w1[idx, i, j].real), _fmt(w1[idx, i, j].imag)])
-        rows.append(",".join(cells))
-    _atomic_write(args.out, header + "\n".join(rows) + "\n")
+    # per node: Re and Im of w1_ij, row-major in (i, j)
+    w1 = result.w1.values.reshape(-1, k * k)
+    parts = np.stack([w1.real, w1.imag], axis=-1).reshape(w1.shape[0], -1)
+
+    def lines():
+        yield header + ",".join(cols) + "\n"
+        for theta, flag, cond, row in zip(result.grid.nodes.tolist(),
+                                          result.singular_flags.tolist(),
+                                          result.cond_profile.tolist(),
+                                          parts.tolist()):
+            yield ",".join([_fmt(theta), str(int(flag)), _fmt(cond),
+                            *map(_fmt, row)]) + "\n"
+
+    _atomic_write(args.out, lines())
     return 0
 
 
@@ -156,7 +162,7 @@ def _cmd_verify(args) -> int:
                   "grid-size": args.grid_size,
                   "random-weights": args.random_weights}
     header = _provenance("verify", source, digest, params)
-    _atomic_write(args.report, header + report.to_text())
+    _atomic_write(args.report, [header, report.to_text()])
     if args.summary:
         sys.stdout.write(report.summary())
     return 0 if report.passed else 1
@@ -192,7 +198,7 @@ def _cmd_model_check(args) -> int:
     for size, measure in measures:
         for omega, mass in measure.rows():
             rows.append(f"spectral,{size},{_fmt(omega)},{_fmt(0.0)},{_fmt(mass)}")
-    _atomic_write(args.out, header + legend + "\n".join(rows) + "\n")
+    _atomic_write(args.out, [header, legend, "\n".join(rows), "\n"])
     return 0
 
 
@@ -231,7 +237,7 @@ def _cmd_scalar(args) -> int:
     for idx, theta in enumerate(grid.nodes):
         rows.append(f"{_fmt(theta)},{_fmt(result.v0[idx])},"
                     f"{_fmt(result.v1[idx])},{int(result.flags[idx])}")
-    _atomic_write(args.out, header + "\n".join(rows) + "\n")
+    _atomic_write(args.out, [header, "\n".join(rows), "\n"])
     return 0
 
 

@@ -1,6 +1,6 @@
 """Scattering data built from a normalized weight: the auxiliary operator
 alpha, the functions D0/D1/psi1, their boundary values, the companion weight
-extracted by radial extrapolation, and the singular-mass deficit."""
+as the boundary density of psi1, and the singular-mass deficit."""
 
 from __future__ import annotations
 
@@ -8,17 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid
-from .herglotz import HerglotzEvaluator, neville_extrapolate
+from .circle import TWO_PI, CircleGrid
+from .herglotz import HerglotzEvaluator
 from .weights import MatrixWeight, hermitian_part, moment_zero, psd_rebuild
 
 COND_CUTOFF = 1e8
-FLAG_TOL = 1e-8
 SNAP_ONE = 1e-12
 PSD_CLAMP = 1e-10
-LADDER_LO = 6
-LADDER_HI = 20
-LADDER_TAIL = 8
+# cond(D0+) ~ 1/delta next to a zero of det D0 at distance delta from the
+# circle, and the a.c. spike there has width ~delta: the grid resolves it
+# only while cond(D0+) * 2pi/M stays O(1).  Next to an exact atom it reads ~1.
+RESOLVE = 4.0
 
 
 def _opnorm(a: np.ndarray) -> float:
@@ -44,8 +44,10 @@ def _cond(a: np.ndarray) -> float:
 class CompanionWeightResult:
     """Companion weight on a grid with per-node diagnostics.
 
-    Nodes where the radial ladder failed carry singular_flags and hold the
-    last finite PSD ladder iterate for reporting only; they are excluded
+    w1 = Im psi1+ with psi1+ = alpha - (D0+)^-1, from the D0+ samples kept in
+    d0_plus.  A node is flagged when cond(D0+) * 2pi/M > RESOLVE (a zero of
+    det D0 too close to the circle for the grid) or when Im psi1+ has an
+    eigenvalue below -PSD_CLAMP.  Flagged nodes hold w1 = 0 and are excluded
     from every norm and from the deficit sum.
     """
 
@@ -53,7 +55,7 @@ class CompanionWeightResult:
     singular_flags: np.ndarray
     deficit: float
     cond_profile: np.ndarray
-    convergence_estimates: np.ndarray
+    d0_plus: np.ndarray
 
     @property
     def grid(self) -> CircleGrid:
@@ -100,73 +102,35 @@ class DeBrangesSystem:
         eye = np.eye(self.dim)
         return max(_opnorm(left @ right - eye), _opnorm(right @ left - eye))
 
-    def boundary_profile(self, grid: CircleGrid, side: str = "inner"):
-        """D0 boundary values and condition numbers on all grid nodes."""
-        base = self.psi0.ring_values(1.0, grid)
-        if side == "outer":
-            base = np.conj(np.swapaxes(base, -1, -2))
-        values = self.alpha + base
+    def boundary_profile(self, grid: CircleGrid):
+        """D0+ values and condition numbers on all grid nodes."""
+        values = self.alpha + self.psi0.ring_values(1.0, grid)
         return values, _cond_batch(values)
 
-    def _ladder_values(self, grid: CircleGrid) -> np.ndarray:
-        """(1/2i)(psi1 - psi1*) on the radial ladder: shape (rungs, M, k, k)."""
-        rungs = []
-        eye = np.eye(self.dim)
-        for j in range(LADDER_LO, LADDER_HI + 1):
-            r = 1.0 - 2.0 ** (-j)
-            d0 = self.alpha + self.psi0.ring_values(r, grid)
-            try:
-                d0inv = np.linalg.inv(d0)
-            except np.linalg.LinAlgError:
-                d0inv = np.linalg.pinv(d0)
-            psi1 = self.alpha - d0inv
-            rungs.append((psi1 - np.conj(np.swapaxes(psi1, -1, -2))) / 2j)
-        return np.stack(rungs)
-
     def companion_weight(self, grid: CircleGrid) -> CompanionWeightResult:
-        """Radial limit of (1/2i)(psi1 - psi1*) at each node.
-
-        The geometric ladder r = 1 - 2^-j, j = 6..20 feeds divergence
-        detection; the extrapolated value uses the deepest 8 rungs, which
-        keeps the atom-free nodes accurate even next to singular support.
-        """
-        ladder = self._ladder_values(grid)
-        flat = np.abs(ladder[1:] - ladder[:-1]).max(axis=(-1, -2))
-        diverged = (flat[-1] > 1e-12) & (flat[-1] > flat[0])
-        value, correction = neville_extrapolate(ladder[-LADDER_TAIL:])
-        estimates = np.abs(correction).max(axis=(-1, -2))
-        flags = diverged | (estimates > FLAG_TOL)
-
-        lam, vec = np.linalg.eigh(hermitian_part(value))
-        # PSD failure beyond roundoff means the limit was not resolved: flag it
+        """w1 = (1/2i)(psi1+ - psi1+*) at each node from one batched inverse
+        of D0+; the flag rule is in CompanionWeightResult."""
+        d0, conds = self.boundary_profile(grid)
+        flags = conds * (TWO_PI / grid.size) > RESOLVE
+        # flagged blocks may be exactly singular; I keeps the batch invertible
+        safe = np.where(flags[:, None, None], np.eye(self.dim), d0)
+        psi1 = self.alpha - np.linalg.inv(safe)
+        imag = (psi1 - np.conj(np.swapaxes(psi1, -1, -2))) / 2j
+        lam, vec = np.linalg.eigh(hermitian_part(imag))
         flags = flags | (lam.min(axis=-1) < -PSD_CLAMP)
         value = psd_rebuild(vec, np.maximum(lam, 0.0))
-
-        for node in np.nonzero(flags)[0]:
-            value[node] = self._last_psd_iterate(ladder[:, node])
+        value[flags] = 0.0
 
         w1 = MatrixWeight.from_samples(value, grid, schatten_p=self.weight.schatten_p)
-        kept = np.where(flags, 0.0, np.einsum("mii->m", value).real)
-        deficit = float(np.trace(self.gg_star).real - kept.sum() / grid.size)
-        _, conds = self.boundary_profile(grid, "inner")
+        traces = np.einsum("mii->m", value).real
+        deficit = float(np.trace(self.gg_star).real - traces.sum() / grid.size)
         return CompanionWeightResult(
             w1=w1,
             singular_flags=flags,
             deficit=deficit,
             cond_profile=conds,
-            convergence_estimates=estimates,
+            d0_plus=d0,
         )
-
-    @staticmethod
-    def _last_psd_iterate(node_ladder: np.ndarray) -> np.ndarray:
-        for j in range(node_ladder.shape[0] - 1, -1, -1):
-            candidate = hermitian_part(node_ladder[j])
-            if not np.all(np.isfinite(candidate)):
-                continue
-            lam, vec = np.linalg.eigh(candidate)
-            if lam.min() >= -PSD_CLAMP:
-                return psd_rebuild(vec, np.maximum(lam, 0.0))
-        return np.zeros_like(node_ladder[0])
 
     def companion_weight_reconstructed(self, theta: float) -> np.ndarray:
         """(D0+)^-* w0 (D0+)^-1 at one angle: the independent route to w1."""

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circle import CircleGrid, TWO_PI, next_power_of_two
-from .debranges import CompanionWeightResult, DeBrangesSystem, _cond
+from .debranges import DeBrangesSystem, _cond
 from .herglotz import pair_kernel_quadrature
 from .weights import MatrixWeight
 
@@ -193,26 +193,19 @@ class HardyOperators:
     """Grid realization of X, Y+/-, the projections, and the Hilbert transform
     for one system; boundary data and the companion weight are precomputed."""
 
-    def __init__(self, system: DeBrangesSystem, grid: CircleGrid,
-                 companion: Optional[CompanionWeightResult] = None):
+    def __init__(self, system: DeBrangesSystem, grid: CircleGrid):
         self.system = system
         self.grid = grid
-        self.companion = companion or system.companion_weight(grid)
-        if self.companion.grid.size != grid.size:
-            raise ValueError("companion weight lives on a different grid")
+        self.companion = system.companion_weight(grid)
         self.w0_samples = system.weight.samples_on(grid)
         self.w1_samples = self.companion.w1.values
-        inner, _ = system.boundary_profile(grid, "inner")
-        self.d0_inner = inner
-        self.d0_outer = np.conj(np.swapaxes(inner, -1, -2))
+        self.d0_inner = self.companion.d0_plus
+        self.d0_outer = np.conj(np.swapaxes(self.d0_inner, -1, -2))
         self.unflagged = self.companion.unflagged
 
     @classmethod
-    def build(cls, system: DeBrangesSystem, size: Optional[int] = None,
-              grid: Optional[CircleGrid] = None) -> "HardyOperators":
-        if grid is None:
-            grid = CircleGrid(size) if size else system.weight.natural_grid()
-        return cls(system, grid)
+    def build(cls, system: DeBrangesSystem, size: int) -> "HardyOperators":
+        return cls(system, CircleGrid(size))
 
     # -- pointwise operators --------------------------------------------
 

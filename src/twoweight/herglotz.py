@@ -118,27 +118,12 @@ class HerglotzEvaluator:
             return 1j * evaluate_series(self.series, z)
         return _adjoint(1j * evaluate_series(self.series, 1.0 / np.conj(z)))
 
-    def boundary(self, theta, side: str = "inner",
-                 method: str = "exact") -> RadialLimit:
-        """Radial boundary value of psi at e^{i theta}.
-
-        The evaluator always holds a finite coefficient list, so the inner
-        limit is the exact finite sum iF(e^{i theta}) and the outer limit its
-        adjoint; the Richardson ladder over r = 1 -+ 2^-j, j = 6..14 is kept
-        as a cross-checking mode.
-        """
-        if side not in ("inner", "outer"):
-            raise ValueError("side must be 'inner' or 'outer'")
-        if method == "exact":
-            value = self.boundary_profile(np.asarray(theta, dtype=float), side)
-            return RadialLimit(value=value, estimate=0.0, converged=True)
-        if method == "ladder":
-            point = np.exp(1j * float(theta))
-            return radial_limit(lambda r: self.psi(r * point), side=side)
-        raise ValueError("method must be 'exact' or 'ladder'")
-
     def boundary_profile(self, theta: np.ndarray, side: str = "inner") -> np.ndarray:
-        """Exact boundary values, vectorized over angles."""
+        """Radial boundary values of psi at e^{i theta}, vectorized over angles.
+
+        The evaluator holds a finite coefficient list, so the inner limit is
+        the exact finite sum iF(e^{i theta}) and the outer limit its adjoint.
+        """
         inner = 1j * evaluate_series(self.series, np.exp(1j * np.asarray(theta, dtype=float)))
         return inner if side == "inner" else _adjoint(inner)
 

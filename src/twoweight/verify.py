@@ -22,7 +22,7 @@ from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean,
 from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
 from .hardy import (HardyOperators, RationalTestFunction, gram_norm_estimate,
                     random_test_functions, weighted_inner)
-from .herglotz import pair_kernel_quadrature, psi_quadrature
+from .herglotz import pair_kernel_quadrature, psi_quadrature, radial_limit
 from .model import (build_model, cross_validate, intertwine_residual,
                     model_identity_residual, spectral_nu1)
 from .weights import (FIXTURE_NAMES, MatrixWeight, _as_scalar_samples,
@@ -49,6 +49,7 @@ class CheckResult:
     value: float
     tolerance: float
     runtime: float
+    message: str = ""
 
     @property
     def passed(self) -> bool:
@@ -100,10 +101,9 @@ class Report:
         width = max(len(e.name) for e in self.entries)
         lines = [f"{'check':<{width}}  status  {'value':>13}  {'tolerance':>13}  {'ms':>8}"]
         for e in self.entries:
-            lines.append(
-                f"{e.name:<{width}}  {e.status:<6}  {e.value:>13.6e}  "
-                f"{e.tolerance:>13.6e}  {e.runtime * 1e3:>8.1f}"
-            )
+            line = (f"{e.name:<{width}}  {e.status:<6}  {e.value:>13.6e}  "
+                    f"{e.tolerance:>13.6e}  {e.runtime * 1e3:>8.1f}")
+            lines.append(f"{line}  {e.message}" if e.message else line)
         failed = len(self.failures())
         lines.append(f"{len(self.entries)} checks, {failed} failed -> {self.status}")
         return "\n".join(lines) + "\n"
@@ -397,9 +397,10 @@ def _check_ladder(fx, ctx, rng):
     worst = 0.0
     for _ in range(3):
         theta = float(rng.uniform(0.5, 2.6))
+        point = np.exp(1j * theta)
         for side in ("inner", "outer"):
-            exact = ev.boundary(theta, side, method="exact").value
-            ladder = ev.boundary(theta, side, method="ladder").value
+            exact = ev.boundary_profile(np.asarray(theta), side)
+            ladder = radial_limit(lambda r: ev.psi(r * point), side=side).value
             worst = max(worst, float(np.abs(exact - ladder).max()))
     return worst
 
@@ -440,6 +441,21 @@ def _check_companion_closed_form(fx, ctx, rng):
     target = _CLOSED_FORM_W1[fx]
     diff = np.abs(comp.w1.values[comp.unflagged] - target)
     return float(diff.max())
+
+
+def _check_companion_ladder(fx, ctx, rng):
+    # the radial route to w1: extrapolate Im psi1(r e^{i theta}) over
+    # r = 1 - 2^-j, j = 6..20, from inside the disc, never touching D0+
+    system = ctx.system(fx)
+    comp = ctx.ops(fx, ctx.config.grid_size).companion
+    nodes = rng.choice(np.flatnonzero(comp.unflagged), size=8, replace=False)
+    worst = 0.0
+    for m in nodes:
+        point = comp.grid.points[m]
+        limit = radial_limit(lambda r: _imag_part(system.psi1(r * point)),
+                             j_lo=6, j_hi=20, tail=8).value
+        worst = max(worst, float(np.abs(limit - comp.w1.values[m]).max()))
+    return worst
 
 
 def _check_deficit(fx, ctx, rng):
@@ -795,6 +811,7 @@ _PER_FIXTURE = [
     ("debranges.psi1_positivity", 1e-10, _check_psi1_positivity),
     ("debranges.companion_psd", 1e-12, _check_companion_psd),
     ("debranges.companion_closed_form", 1e-8, _check_companion_closed_form),
+    ("debranges.companion_ladder", 1e-9, _check_companion_ladder),
     ("debranges.sandwich", 1e-8, _check_sandwich),
     ("debranges.reconstruction", 1e-6, _check_reconstruction),
     ("debranges.rank_equality", 0.5, _check_rank_equality),
@@ -874,10 +891,15 @@ def _run_entries(checks, config: SuiteConfig, ctx: "_SuiteContext") -> Report:
         rng = _rng_for(config.seed, name)
         tol = config.tolerance_for(name, default_tol)
         start = time.perf_counter()
-        value = float(fn(ctx, rng))
+        # numpy's LinAlgError is a ValueError too
+        try:
+            value = float(fn(ctx, rng))
+        except ValueError as exc:
+            value, status, message = float("nan"), "error", str(exc)
+        else:
+            status, message = ("pass" if value <= tol else "fail"), ""
         runtime = time.perf_counter() - start
-        status = "pass" if value <= tol else "fail"
-        entries.append(CheckResult(name, status, value, tol, runtime))
+        entries.append(CheckResult(name, status, value, tol, runtime, message))
     return Report(tuple(entries))
 
 
@@ -1025,8 +1047,7 @@ def nondegeneracy_report(system: DeBrangesSystem, result: CompanionWeightResult,
     grid = result.grid
     w0 = system.weight.samples_on(grid)
     w1 = result.w1.values
-    d0, _ = system.boundary_profile(grid, "inner")
-    d0_norm = _opnorms(d0)
+    d0_norm = _opnorms(result.d0_plus)
     w0_norm = _opnorms(w0)
     # flagged atoms can have D0 -> 0 there; the bound is vacuous at such nodes
     bound = np.divide(w0_norm, d0_norm ** 2,

@@ -127,6 +127,19 @@ def test_verify_weight_spec_report(tmp_path, capsys):
     assert rc == 0
     assert parse_report(_read(report_path)).passed
 
+    # a valid step weight whose upsampled samples overshoot below zero:
+    # the checks that need a finer grid become error entries, not exit 2
+    step = np.where(grid.nodes < np.pi, 1.0, 0.1)
+    spec = tmp_path / "step_256.json"
+    save_weight_spec(MatrixWeight.from_samples(step, grid), spec)
+    rc = main(["verify", "--weight-spec", str(spec), "-o", str(report_path),
+               "--summary"])
+    assert rc == 1
+    assert "not positive semidefinite" in capsys.readouterr().out
+    errors = [e for e in parse_report(_read(report_path)).entries if e.status == "error"]
+    assert errors and all(np.isnan(e.value) for e in errors)
+    assert main(["report", str(report_path)]) == 1
+
 
 def test_verify_fixtures_zero_tolerance_fails(tmp_path):
     report_path = tmp_path / "report.txt"

@@ -3,9 +3,14 @@ import pytest
 
 from twoweight.circle import CircleGrid
 from twoweight.debranges import DeBrangesSystem, build_system
-from twoweight.weights import fixture, random_polynomial_weight
+from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
 
 RNG = np.random.default_rng(55)
+
+
+def _cos_weight(eps=0.0, phi=0.0):
+    """1 + eps + cos(theta - phi), normalized."""
+    return normalize(MatrixWeight.from_fourier([1.0 + eps, 0.5 * np.exp(-1j * phi)]))
 
 
 def _systems():
@@ -68,16 +73,24 @@ def test_companion_diag():
 
 
 def test_companion_cos_flags_only_the_atom():
-    result = build_system(fixture("W_COS")).companion_weight(CircleGrid(256))
-    flagged = np.nonzero(result.singular_flags)[0]
-    assert list(flagged) == [128]  # theta = pi
-    unflag = result.unflagged
-    assert np.abs(result.w1.values[unflag] - 0.5).max() < 1e-8
-    assert abs(result.deficit - 0.5) < 5.0 / 256
-    # flagged node still carries a finite PSD placeholder
-    atom = result.w1.values[128]
-    assert np.isfinite(atom).all()
-    assert np.linalg.eigvalsh(atom).min() > -1e-12
+    # the atom at theta = pi sits on node 128; shifted by half a step it
+    # falls between two nodes, where the boundary formula is exact
+    cases = [(fixture("W_COS"), [128], 1e-8), (_cos_weight(phi=np.pi / 256), [], 1e-10)]
+    for weight, expected, tol in cases:
+        result = build_system(weight).companion_weight(CircleGrid(256))
+        assert list(np.flatnonzero(result.singular_flags)) == expected
+        assert np.abs(result.w1.values[result.unflagged] - 0.5).max() < tol
+        assert abs(result.deficit - 0.5) < 5.0 / 256
+        assert np.all(result.w1.values[result.singular_flags] == 0.0)
+
+
+def test_unresolved_spike_is_flagged():
+    # no atom: det D0 vanishes at distance eps outside the circle, and the
+    # spike of width eps at theta = pi is far narrower than the grid step
+    for eps in (1e-3, 1e-6):
+        result = build_system(_cos_weight(eps)).companion_weight(CircleGrid(256))
+        assert list(np.flatnonzero(result.singular_flags)) == [128], eps
+        assert result.deficit >= 0.0, eps
 
 
 def test_companion_rank1_decouples_blocks():
@@ -117,7 +130,7 @@ def test_reconstruction_identity_on_random_weight():
     system = build_system(w0)
     grid = CircleGrid(128)
     result = system.companion_weight(grid)
-    d0, cond = system.boundary_profile(grid, "inner")
+    d0, cond = system.boundary_profile(grid)
     usable = result.unflagged & (cond <= 1e6)
     assert usable.sum() > 100
     w0_samples = w0.samples_on(grid)
