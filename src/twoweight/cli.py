@@ -175,14 +175,15 @@ def _cmd_model_check(args) -> int:
     weight = normalize(weight)
     system = build_system(weight)
     sizes = sorted(set(args.modes))
-    table = cross_validate(system, MODEL_POINTS, sizes)
+    models = [build_model(weight, size) for size in sizes]
+    table = cross_validate(system, MODEL_POINTS, models)
     measures = []
     skipped = []
-    for size in sizes:
-        if size * system.dim <= SPECTRAL_CAP:
-            measures.append((size, spectral_nu1(build_model(weight, size))))
+    for model in models:
+        if model.size * system.dim <= SPECTRAL_CAP:
+            measures.append((model.size, spectral_nu1(model)))
         else:
-            skipped.append(size)
+            skipped.append(model.size)
     params = {"modes": " ".join(str(m) for m in sizes), "dim": system.dim}
     for size, measure in measures:
         trace_total = float(np.trace(measure.total_mass()).real)

@@ -75,7 +75,6 @@ class DeBrangesSystem:
     alpha: np.ndarray
     psi0: HerglotzEvaluator
     weight: MatrixWeight
-    cond_cutoff: float = COND_CUTOFF
 
     @property
     def dim(self) -> int:
@@ -87,7 +86,7 @@ class DeBrangesSystem:
     def psi1(self, z: complex) -> np.ndarray:
         d = self.d0(z)
         cond = _cond(d)
-        if cond > self.cond_cutoff:
+        if cond > COND_CUTOFF:
             raise ValueError(f"D0 numerically singular at z = {z}")
         return self.alpha - np.linalg.inv(d)
 
@@ -135,14 +134,14 @@ class DeBrangesSystem:
     def companion_weight_reconstructed(self, theta: float) -> np.ndarray:
         """(D0+)^-* w0 (D0+)^-1 at one angle: the independent route to w1."""
         value = self.alpha + self.psi0.boundary_profile(np.asarray(theta, float))
-        if _cond(value) > self.cond_cutoff:
+        if _cond(value) > COND_CUTOFF:
             raise ValueError(f"D0 boundary numerically singular at theta = {theta}")
         inv = np.linalg.inv(value)
         w0v = self.weight.value_at(theta)
         return inv.conj().T @ w0v @ inv
 
 
-def build_system(w0: MatrixWeight, cond_cutoff: float = COND_CUTOFF) -> DeBrangesSystem:
+def build_system(w0: MatrixWeight) -> DeBrangesSystem:
     """Assemble the scattering data for a normalized weight.
 
     Eigenvalues of gg_star within 1e-12 of 1 are snapped to 1 exactly so
@@ -159,5 +158,4 @@ def build_system(w0: MatrixWeight, cond_cutoff: float = COND_CUTOFF) -> DeBrange
         alpha=alpha,
         psi0=HerglotzEvaluator.from_weight(w0),
         weight=w0,
-        cond_cutoff=cond_cutoff,
     )

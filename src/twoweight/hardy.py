@@ -10,12 +10,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circle import CircleGrid, TWO_PI, next_power_of_two
-from .debranges import DeBrangesSystem, _cond
+from .circle import CircleGrid, MatrixSampleField, TWO_PI, next_power_of_two
+from .debranges import COND_CUTOFF, DeBrangesSystem, _cond
 from .herglotz import pair_kernel_quadrature
 from .weights import MatrixWeight
 
 DELTA_POLE = 1e-3
+# the quadrature routes sample w0 f on an OVERSAMPLE-times finer grid and
+# combine the radii 1 -+ eps, 2 eps, 4 eps (eps = QUADRATURE_OFFSET / M)
+OVERSAMPLE = 8
+QUADRATURE_OFFSET = 10.0
 RICHARDSON_WEIGHTS = (8.0 / 3.0, -2.0, 1.0 / 3.0)
 
 
@@ -25,7 +29,6 @@ class RationalTestFunction:
 
     poles: np.ndarray
     coefficients: np.ndarray
-    delta_pole: float = DELTA_POLE
 
     def __post_init__(self) -> None:
         poles = np.atleast_1d(np.asarray(self.poles, dtype=complex))
@@ -34,10 +37,8 @@ class RationalTestFunction:
             coeffs = coeffs[:, None] if poles.size == coeffs.size else coeffs[None, :]
         if coeffs.ndim != 2 or coeffs.shape[0] != poles.size:
             raise ValueError("coefficients must have shape (terms, k)")
-        if self.delta_pole <= 0:
-            raise ValueError("pole standoff must be positive")
         gap = np.abs(1.0 - np.abs(poles))
-        if poles.size and gap.min() < self.delta_pole:
+        if poles.size and gap.min() < DELTA_POLE:
             raise ValueError("pole too close to the unit circle")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "coefficients", coeffs)
@@ -66,12 +67,10 @@ class RationalTestFunction:
         return RationalTestFunction(
             poles=np.concatenate([self.poles, other.poles]),
             coefficients=np.vstack([self.coefficients, other.coefficients]),
-            delta_pole=min(self.delta_pole, other.delta_pole),
         )
 
     def __rmul__(self, scalar: complex) -> "RationalTestFunction":
-        return RationalTestFunction(self.poles, scalar * self.coefficients,
-                                    self.delta_pole)
+        return RationalTestFunction(self.poles, scalar * self.coefficients)
 
     def to_dict(self) -> dict:
         return {
@@ -214,10 +213,10 @@ class HardyOperators:
         rotated = np.empty_like(f.coefficients)
         for i, z in enumerate(f.poles):
             d = self.system.d0(complex(z))
-            if _cond(d) > self.system.cond_cutoff:
+            if _cond(d) > COND_CUTOFF:
                 raise ValueError(f"D0 numerically singular at pole z = {z}")
             rotated[i] = d @ f.coefficients[i]
-        return RationalTestFunction(f.poles.copy(), rotated, f.delta_pole)
+        return RationalTestFunction(f.poles.copy(), rotated)
 
     def apply_y(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
         """D0^{+-}(theta) f(e^{i theta}) at grid nodes; flagged rows zeroed."""
@@ -250,56 +249,53 @@ class HardyOperators:
 
     # -- quadrature cross-check routes -----------------------------------
 
-    def project_quadrature(self, f: RationalTestFunction, side: str = "+",
-                           offset: float = 10.0, oversample: int = 8,
-                           richardson: bool = True) -> np.ndarray:
+    @cached_property
+    def _w0_fine(self) -> MatrixSampleField:
+        """w0 on the oversampled grid of the quadrature routes, built once."""
+        return self.system.weight.field_on(CircleGrid(OVERSAMPLE * self.grid.size))
+
+    def _fine_product(self, f: RationalTestFunction):
+        """(fine grid, w0 f on it, radius offsets eps) for the quadrature routes."""
+        fine = self._w0_fine.grid
+        gv = np.einsum("mkl,ml->mk", self._w0_fine.values, f.evaluate_on(fine))
+        eps0 = QUADRATURE_OFFSET / self.grid.size
+        return fine, gv, (eps0, 2 * eps0, 4 * eps0)
+
+    def project_quadrature(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
         """Direct quadrature of the defining limit, anchored at r = 1 -+ 10/M.
 
         The integral at fixed radius is evaluated spectrally on an oversampled
         grid; three radii (eps, 2 eps, 4 eps) are combined by Richardson
         extrapolation to reach the limit at second order or better.
         """
-        m = self.grid.size
-        fine = CircleGrid(oversample * m)
-        w0_fine = self.system.weight.samples_on(fine)
-        gv = np.einsum("mkl,ml->mk", w0_fine, f.evaluate_on(fine))
+        fine, gv, radii = self._fine_product(f)
         ghat = np.fft.fft(gv, axis=0) / fine.size
         modes = np.fft.fftfreq(fine.size, 1.0 / fine.size).astype(int)
-        eps0 = offset / m
-        radii = [eps0, 2 * eps0, 4 * eps0] if richardson else [eps0]
-        weights = RICHARDSON_WEIGHTS if richardson else (1.0,)
         acc = np.zeros((fine.size, f.dim), dtype=complex)
-        for eps, cw in zip(radii, weights):
+        for eps, cw in zip(radii, RICHARDSON_WEIGHTS):
             if side == "+":
                 damp = np.where(modes >= 0, (1.0 - eps) ** np.maximum(modes, 0), 0.0)
             else:
                 damp = np.where(modes < 0, (1.0 + eps) ** np.minimum(modes, 0), 0.0)
             acc += cw * np.fft.ifft(ghat * damp[:, None], axis=0) * fine.size
-        return acc[::oversample]
+        return acc[::OVERSAMPLE]
 
-    def hilbert_quadrature(self, f: RationalTestFunction, offset: float = 10.0,
-                           oversample: int = 8, richardson: bool = True) -> np.ndarray:
+    def hilbert_quadrature(self, f: RationalTestFunction) -> np.ndarray:
         """Convolution against the kernel 2 sin(theta-t)/(1+r^2-2r cos(theta-t))
-        at r = 1 - 10/M (optionally Richardson-extrapolated over r).
+        at r = 1 - 10/M, Richardson-extrapolated over r.
 
         The trapezoid sum over the oversampled grid is one circular
         convolution there, done by FFT and read off at the coarse nodes.
         """
-        m = self.grid.size
-        fine = CircleGrid(oversample * m)
-        w0_fine = self.system.weight.samples_on(fine)
-        gv = np.einsum("mkl,ml->mk", w0_fine, f.evaluate_on(fine))
-        eps0 = offset / m
-        radii = [eps0, 2 * eps0, 4 * eps0] if richardson else [eps0]
-        weights = RICHARDSON_WEIGHTS if richardson else (1.0,)
+        fine, gv, radii = self._fine_product(f)
         sin_lag = np.sin(fine.nodes)
         cos_lag = np.cos(fine.nodes)
         kernel = np.zeros(fine.size)
-        for eps, cw in zip(radii, weights):
+        for eps, cw in zip(radii, RICHARDSON_WEIGHTS):
             r = 1.0 - eps
             kernel += cw * 2.0 * sin_lag / (1.0 + r * r - 2.0 * r * cos_lag)
         spectrum = np.fft.fft(kernel)[:, None] * np.fft.fft(gv, axis=0)
-        return np.fft.ifft(spectrum, axis=0)[::oversample] / fine.size
+        return np.fft.ifft(spectrum, axis=0)[::OVERSAMPLE] / fine.size
 
     # -- bilinear identities ---------------------------------------------
 

@@ -31,8 +31,8 @@ class RadialLimit:
     converged: bool
 
 
-def neville_extrapolate(vals: np.ndarray, ratio: float = 2.0):
-    """Iterated Richardson elimination for samples at step sizes h0 * ratio^-j.
+def neville_extrapolate(vals: np.ndarray):
+    """Iterated Richardson elimination for samples at step sizes h0 * 2^-j.
 
     vals has the ladder along axis 0; trailing axes are carried through.
     Returns (limit, last_correction); the correction is the change made by
@@ -44,7 +44,7 @@ def neville_extrapolate(vals: np.ndarray, ratio: float = 2.0):
         return table[0], np.full_like(table[0], np.inf)
     prev_best = table[-1]
     for level in range(1, rungs):
-        factor = ratio ** level
+        factor = 2.0 ** level
         table = table[1:] + (table[1:] - table[:-1]) / (factor - 1.0)
         if table.shape[0] > 1:
             prev_best = table[-1]

@@ -13,19 +13,25 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .circle import CircleGrid, TWO_PI, next_power_of_two
+from .circle import CircleGrid, TWO_PI
 from .debranges import DeBrangesSystem
-from .weights import MatrixWeight, _clean_psd_samples, psd_rebuild
+from .weights import MatrixWeight, psd_rebuild
 
 BUILD_CAP = 8192
 SPECTRAL_CAP = 4096
 SNAP_ONE = 1e-12
 TRUNCATION_BAND = 0.05
+CLUSTER = 1e-9
 
 
 @dataclass(frozen=True)
 class TruncatedModel:
     """Discrete realization (H, U0, G, Theta, U1) on M quadrature nodes.
+
+    U0 (multiplication by e^{i theta_m} on each node's k-dim fibre) is kept as
+    its diagonal `phases`, and the rank-k Theta = V diag(2 half) V* as its
+    factors: `v` (right singular vectors of G) and `half` (arcsin of the
+    squared singular values).  u1 = e^{i Theta/2} U0 e^{i Theta/2} is dense.
 
     The quadrature inner product (1/M) sum ||f_m||^2 is folded into G by the
     symmetric 1/sqrt(M) scaling, so adjoints are plain conjugate transposes
@@ -35,9 +41,10 @@ class TruncatedModel:
     size: int
     dim: int
     nodes: np.ndarray
-    u0: np.ndarray
+    phases: np.ndarray
     g: np.ndarray
-    theta: np.ndarray
+    v: np.ndarray
+    half: np.ndarray
     u1: np.ndarray
 
     @property
@@ -46,44 +53,40 @@ class TruncatedModel:
 
 
 def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
-    """Assemble the model on `size` nodes; size a power of two, M*k <= 8192."""
-    if size < 4 or size != next_power_of_two(size):
-        raise ValueError("model size must be a power of two, at least 4")
+    """Assemble the model on `size` nodes (a CircleGrid size), M*k <= 8192."""
+    grid = CircleGrid(size)
     k = w0.dim
     if size * k > BUILD_CAP:
         raise ValueError(f"model size cap exceeded: M*k = {size * k} > {BUILD_CAP}")
-    nodes = TWO_PI * np.arange(size) / size
-    if size >= 16:
-        samples = w0.samples_on(CircleGrid(size))
-    else:
-        samples = _clean_psd_samples(w0.value_at(nodes))
-    lam, vec = np.linalg.eigh(samples)
+    lam, vec = np.linalg.eigh(w0.samples_on(grid))
     roots = psd_rebuild(vec, np.sqrt(np.maximum(lam, 0.0)))
-
-    g = np.zeros((k, size * k), dtype=complex)
-    for m in range(size):
-        g[:, m * k:(m + 1) * k] = roots[m] / np.sqrt(size)
-    u0 = np.kron(np.diag(np.exp(1j * nodes)), np.eye(k))
+    # column block m of G is the node's square root w0(theta_m)^{1/2} / sqrt(M)
+    g = np.swapaxes(roots, 0, 1).reshape(k, size * k) / np.sqrt(size)
+    phases = np.repeat(grid.points, k)
 
     _, s, vh = np.linalg.svd(g, full_matrices=False)
     v = vh.conj().T
     s2 = np.clip(s ** 2, 0.0, 1.0)
     s2 = np.where(np.abs(s2 - 1.0) <= SNAP_ONE, 1.0, s2)
     half = np.arcsin(s2)
-    theta = (v * (2.0 * half)) @ v.conj().T
+    # e^{i Theta/2} = I + V (e^{i half} - 1) V*, and E U0 = E * phases
     exp_half = np.eye(size * k, dtype=complex) + (v * (np.exp(1j * half) - 1.0)) @ v.conj().T
-    u1 = exp_half @ u0 @ exp_half
-    return TruncatedModel(size=size, dim=k, nodes=nodes, u0=u0, g=g, theta=theta, u1=u1)
+    u1 = (exp_half * phases) @ exp_half
+    return TruncatedModel(size=size, dim=k, nodes=grid.nodes, phases=phases, g=g,
+                          v=v, half=half, u1=u1)
 
 
 def psi_direct(model: TruncatedModel, j: int, z: complex) -> np.ndarray:
-    """i G (U_j + z)(U_j - z)^-1 G* by direct linear solve."""
+    """i G (U_j + z)(U_j - z)^-1 G*: diagonal for U0, a direct solve for U1."""
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
     z = complex(z)
     if abs(1.0 - abs(z)) < TRUNCATION_BAND:
         raise ValueError("z inside the truncation-inaccuracy band around the circle")
-    u = model.u0 if j == 0 else model.u1
+    if j == 0:
+        cayley = (model.phases + z) / (model.phases - z)
+        return 1j * ((model.g * cayley) @ model.g.conj().T)
+    u = model.u1
     rhs = model.g.conj().T
     x = np.linalg.solve(u - z * np.eye(u.shape[0]), rhs)
     return 1j * (model.g @ (u @ x) + z * (model.g @ x))
@@ -110,11 +113,12 @@ def model_identity_residual(model: TruncatedModel, z: complex) -> float:
 
 
 def intertwine_residual(model: TruncatedModel) -> float:
-    """||alpha G - G beta||_2 with beta = cos(Theta/2) = sqrt(I - (G*G)^2)."""
+    """||alpha G - G beta||_2 with beta = cos(Theta/2) = sqrt(I - (G*G)^2)
+    = I + V (cos half - 1) V*, applied through its factors."""
     alpha = _model_alpha(model.gg_star)
-    lam_b, vec_b = np.linalg.eigh(0.5 * model.theta)
-    beta = psd_rebuild(vec_b, np.cos(lam_b))
-    return float(np.linalg.norm(alpha @ model.g - model.g @ beta, 2))
+    gv = model.g @ model.v
+    g_beta = model.g + (gv * (np.cos(model.half) - 1.0)) @ model.v.conj().T
+    return float(np.linalg.norm(alpha @ model.g - g_beta, 2))
 
 
 @dataclass(frozen=True)
@@ -125,11 +129,6 @@ class CrossValidation:
     sizes: np.ndarray
     errors: np.ndarray
 
-    def orders(self) -> np.ndarray:
-        """log2(err(M)/err(2M)) per point; nan where the floor is reached."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log2(self.errors[:, :-1] / self.errors[:, 1:])
-
     def rows(self):
         for i, z in enumerate(self.zs):
             for j, m in enumerate(self.sizes):
@@ -137,12 +136,11 @@ class CrossValidation:
 
 
 def cross_validate(system: DeBrangesSystem, zs: Sequence[complex],
-                   sizes: Sequence[int]) -> CrossValidation:
+                   models: Sequence[TruncatedModel]) -> CrossValidation:
     zs = np.asarray(list(zs), dtype=complex)
-    sizes = np.asarray(list(sizes), dtype=int)
+    sizes = np.array([model.size for model in models], dtype=int)
     errors = np.zeros((zs.size, sizes.size))
-    for j, m in enumerate(sizes):
-        model = build_model(system.weight, int(m))
+    for j, model in enumerate(models):
         for i, z in enumerate(zs):
             diff = psi_direct(model, 1, z) - system.psi1(z)
             errors[i, j] = np.linalg.norm(diff, 2)
@@ -190,4 +188,9 @@ def spectral_nu1(model: TruncatedModel) -> SpectralMeasure:
     masses = np.einsum("kl,jl->lkj", amplitudes, np.conj(amplitudes))
     angles = np.mod(np.angle(eigs), TWO_PI)
     order = np.argsort(angles, kind="stable")
+    # angles chained within CLUSTER (at pi: the atom and the nodes where w0
+    # has a zero column) are ordered by roundoff alone; order them by mass
+    traces = np.einsum("lii->l", masses[order]).real
+    cluster = np.concatenate([[0], np.cumsum(np.diff(angles[order]) > CLUSTER)])
+    order = order[np.lexsort((traces, cluster))]
     return SpectralMeasure(angles=angles[order], masses=masses[order])

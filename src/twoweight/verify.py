@@ -31,6 +31,9 @@ from .weights import (FIXTURE_NAMES, MatrixWeight, _as_scalar_samples,
                       random_polynomial_weight, save_weight_spec)
 
 DEFAULT_SEED = 1729
+RANDOM_DIM = 3
+RANK_THRESHOLD = 1e-8
+COND_LIMIT = 1e6
 CONTRACTION_GRID = 4096
 ISOMETRY_GRID = 1024
 QUADRATURE_GRID = 1024
@@ -137,7 +140,6 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     fixtures: tuple = FIXTURE_NAMES
     random_weights: int = 3
-    random_dim: int = 3
     grid_size: int = 256
     tolerances: dict = field(default_factory=dict)
 
@@ -153,8 +155,6 @@ class SuiteConfig:
         object.__setattr__(self, "fixtures", fx)
         if self.random_weights < 0:
             raise ValueError("random_weights must be >= 0")
-        if not 1 <= self.random_dim <= 4:
-            raise ValueError("random_dim must lie in [1, 4]")
         check_grid_size(self.grid_size)
         # 0 is allowed as an explicit probe of the floating-point floor
         for key, tol in self.tolerances.items():
@@ -191,7 +191,7 @@ class _SuiteContext:
         self._systems: Dict[str, DeBrangesSystem] = {}
         self._ops: Dict[Tuple[str, int], HardyOperators] = {}
         self._models: Dict[Tuple[str, int], object] = {}
-        self._randoms: Optional[list] = None
+        self._random_labels: Optional[list] = None
 
     def register(self, label: str, weight: MatrixWeight) -> None:
         self._weights[label] = weight
@@ -218,17 +218,17 @@ class _SuiteContext:
             self._models[key] = build_model(self.weight(fx), size)
         return self._models[key]
 
-    def random_systems(self) -> list:
-        """(label, weight, system) triples, fixed by the suite seed alone."""
-        if self._randoms is None:
+    def random_labels(self) -> list:
+        """Labels of the random weights, fixed by the suite seed alone and
+        registered on first use, so their systems and operators are cached."""
+        if self._random_labels is None:
             rng = _rng_for(self.config.seed, "random-weights")
-            out = []
+            self._random_labels = []
             for i in range(self.config.random_weights):
-                dim = int(rng.integers(1, self.config.random_dim + 1))
-                w = random_polynomial_weight(rng, dim)
-                out.append((f"RAND{i}", w, build_system(w)))
-            self._randoms = out
-        return self._randoms
+                dim = int(rng.integers(1, RANDOM_DIM + 1))
+                self.register(f"RAND{i}", random_polynomial_weight(rng, dim))
+                self._random_labels.append(f"RAND{i}")
+        return self._random_labels
 
 
 # -- draw helpers -----------------------------------------------------------
@@ -476,15 +476,13 @@ def _check_sandwich(fx, ctx, rng):
 
 def _check_sandwich_random(ctx, rng):
     worst = 0.0
-    for _, _, system in ctx.random_systems():
-        ops = HardyOperators.build(system, size=ctx.config.grid_size)
-        worst = max(worst, _sandwich_value(ops))
+    for label in ctx.random_labels():
+        worst = max(worst, _sandwich_value(ctx.ops(label, ctx.config.grid_size)))
     return worst
 
 
-def _reconstruction_nodes(ops: HardyOperators, cond_limit: float = 1e6) -> np.ndarray:
-    comp = ops.companion
-    return ops.unflagged & (comp.cond_profile <= cond_limit)
+def _reconstruction_nodes(ops: HardyOperators) -> np.ndarray:
+    return ops.unflagged & (ops.companion.cond_profile <= COND_LIMIT)
 
 
 def _check_reconstruction(fx, ctx, rng):
@@ -498,8 +496,8 @@ def _check_reconstruction(fx, ctx, rng):
 def _check_rank_equality(fx, ctx, rng):
     ops = ctx.ops(fx, ctx.config.grid_size)
     keep = _reconstruction_nodes(ops)
-    r0 = _psd_ranks(ops.w0_samples[keep], 1e-8)
-    r1 = _psd_ranks(ops.w1_samples[keep], 1e-8)
+    r0 = _psd_ranks(ops.w0_samples[keep], RANK_THRESHOLD)
+    r1 = _psd_ranks(ops.w1_samples[keep], RANK_THRESHOLD)
     return float((r0 != r1).sum())
 
 
@@ -524,7 +522,7 @@ def _check_trace_budget(fx, ctx, rng):
 def _check_model_unitarity(fx, ctx, rng):
     mdl = ctx.model(fx, 128)
     eye = np.eye(mdl.u1.shape[0])
-    drift0 = np.linalg.norm(mdl.u0.conj().T @ mdl.u0 - eye, 2)
+    drift0 = np.abs(np.abs(mdl.phases) - 1.0).max()
     drift1 = np.linalg.norm(mdl.u1.conj().T @ mdl.u1 - eye, 2)
     return float(max(drift0, drift1))
 
@@ -543,7 +541,8 @@ def _check_model_identities(fx, ctx, rng):
 
 
 def _check_cross_validation(fx, ctx, rng):
-    table = cross_validate(ctx.system(fx), [0.3], [64, 128])
+    models = [ctx.model(fx, 64), ctx.model(fx, 128)]
+    table = cross_validate(ctx.system(fx), [0.3], models)
     e1, e2 = float(table.errors[0, 0]), float(table.errors[0, 1])
     return max(0.0, e2 - max(e1 / 1.5, 1e-12))
 
@@ -684,8 +683,8 @@ def _check_gram_identity(fx, ctx, rng):
 
 def _check_gram_identity_random(ctx, rng):
     worst = 0.0
-    for _, _, system in ctx.random_systems():
-        ops = HardyOperators.build(system, size=ctx.config.grid_size)
+    for label in ctx.random_labels():
+        ops = ctx.ops(label, ctx.config.grid_size)
         for z1, z2 in _draw_pairs(rng, 5):
             worst = max(worst, ops.gram_identity_residual(z1, z2))
     return worst
@@ -966,8 +965,7 @@ def koosis_pipeline(v0, grid: Optional[CircleGrid] = None, seed: int = DEFAULT_S
     for i, f in enumerate(basis):
         keep = _outside_pole_mask(f)
         if np.any(keep):
-            part = RationalTestFunction(f.poles[keep], f.coefficients[keep],
-                                        f.delta_pole)
+            part = RationalTestFunction(f.poles[keep], f.coefficients[keep])
             images[:, i] = part.evaluate_on(grid)[:, 0]
     weight0 = np.where(usable, samples, 0.0)
     weight1 = np.where(usable, v1, 0.0)
@@ -1008,12 +1006,10 @@ class NondegeneracyReport:
     norm_w0: np.ndarray
     norm_w1: np.ndarray
     norm_bound: np.ndarray
-    rank_threshold: float
-    cond_limit: float
 
     @property
     def _usable(self) -> np.ndarray:
-        return ~self.flags & (self.cond <= self.cond_limit)
+        return ~self.flags & (self.cond <= COND_LIMIT)
 
     @property
     def rank_mismatches(self) -> int:
@@ -1041,9 +1037,8 @@ class NondegeneracyReport:
                    float(self.norm_w1[i]), float(self.norm_bound[i]))
 
 
-def nondegeneracy_report(system: DeBrangesSystem, result: CompanionWeightResult,
-                         rank_threshold: float = 1e-8,
-                         cond_limit: float = 1e6) -> NondegeneracyReport:
+def nondegeneracy_report(system: DeBrangesSystem,
+                         result: CompanionWeightResult) -> NondegeneracyReport:
     grid = result.grid
     w0 = system.weight.samples_on(grid)
     w1 = result.w1.values
@@ -1056,13 +1051,11 @@ def nondegeneracy_report(system: DeBrangesSystem, result: CompanionWeightResult,
         theta=grid.nodes.copy(),
         flags=result.singular_flags.copy(),
         cond=result.cond_profile.copy(),
-        rank_w0=_psd_ranks(w0, rank_threshold),
-        rank_w1=_psd_ranks(w1, rank_threshold),
+        rank_w0=_psd_ranks(w0, RANK_THRESHOLD),
+        rank_w1=_psd_ranks(w1, RANK_THRESHOLD),
         norm_w0=w0_norm,
         norm_w1=_opnorms(w1),
         norm_bound=bound,
-        rank_threshold=rank_threshold,
-        cond_limit=cond_limit,
     )
 
 

@@ -223,9 +223,8 @@ def schatten_norm(a, p: float = 1.0) -> float:
     return float((s ** p).sum() ** (1.0 / p))
 
 
-def _mean_schatten_norm(w: MatrixWeight, grid: Optional[CircleGrid] = None) -> float:
-    grid = grid or w.natural_grid()
-    samples = w.samples_on(grid)
+def _mean_schatten_norm(w: MatrixWeight) -> float:
+    samples = w.samples_on(w.natural_grid())
     if w.dim == 1:
         return float(np.abs(samples[:, 0, 0]).mean())
     s = np.linalg.svd(samples, compute_uv=False)
@@ -241,10 +240,9 @@ def normalize(w: MatrixWeight) -> MatrixWeight:
     return w.scaled(1.0 / mean_norm)
 
 
-def moment_zero(w: MatrixWeight, grid: Optional[CircleGrid] = None) -> np.ndarray:
+def moment_zero(w: MatrixWeight) -> np.ndarray:
     """Circle mean of the weight: a Hermitian PSD contraction for normalized input."""
-    grid = grid or w.natural_grid()
-    mean = hermitian_part(circle_mean(w.field_on(grid)))
+    mean = hermitian_part(circle_mean(w.field_on(w.natural_grid())))
     lam, vec = np.linalg.eigh(mean)
     if lam.max(initial=0.0) > 1.0 + 1e-6:
         raise ValueError("normalization violated")
@@ -268,7 +266,7 @@ def _as_scalar_samples(v, grid: Optional[CircleGrid]) -> tuple[np.ndarray, Circl
 
 
 def koosis_transform(v, direction: str = "forward", grid: Optional[CircleGrid] = None,
-                     constant: Optional[float] = None, schatten_p: float = 1.0):
+                     constant: Optional[float] = None):
     """Scalar weight transform between v and normalize(1/v).
 
     forward: returns (normalize(1/v), c) with the normalization constant c.
@@ -285,7 +283,7 @@ def koosis_transform(v, direction: str = "forward", grid: Optional[CircleGrid] =
         if mean_norm <= VANISH_TOL:
             raise ValueError("degenerate weight")
         c = 1.0 / mean_norm
-        w = MatrixWeight.from_samples(inverted * c, grid, schatten_p=schatten_p)
+        w = MatrixWeight.from_samples(inverted * c, grid)
         return w, c
     if direction == "backward":
         if constant is None:

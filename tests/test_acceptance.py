@@ -138,7 +138,8 @@ def test_gate_03_model_route_identities(capsys):
         drift = intertwine_residual(mdl)
         if drift > 1e-9:
             problems.append(f"{fx} intertwine residual {drift:.3e}")
-        table = cross_validate(_system(fx), [0.3], [128, 256, 512])
+        table = cross_validate(_system(fx), [0.3],
+                               [_model(fx, m) for m in (128, 256, 512)])
         errs = table.errors[0]
         for a, b in zip(errs, errs[1:]):
             # machine-floor fallback: constant fixtures converge instantly

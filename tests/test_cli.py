@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twoweight.circle import CircleGrid
+from twoweight import cli
 from twoweight.cli import main
 from twoweight.verify import parse_report
 from twoweight.weights import (MatrixWeight, fixture, random_polynomial_weight,
@@ -195,6 +196,21 @@ def test_model_check_table(tmp_path):
     for size in (64, 128):
         mass = values[(kinds == "spectral") & (sizes == size)].sum()
         assert abs(mass - 1.0) < 1e-10
+
+
+def test_model_check_builds_one_model_per_size(tmp_path, monkeypatch):
+    built = []
+    build_model = cli.build_model
+
+    def counting(weight, size):
+        built.append(size)
+        return build_model(weight, size)
+
+    monkeypatch.setattr(cli, "build_model", counting)
+    rc = main(["model-check", "--fixture", "W_COS",
+               "--modes", "64", "128", "-o", str(tmp_path / "model.csv")])
+    assert rc == 0
+    assert sorted(built) == [64, 128]
 
 
 def test_model_check_cap_exits_two(tmp_path):

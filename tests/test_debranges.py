@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twoweight import debranges
 from twoweight.circle import CircleGrid
 from twoweight.debranges import DeBrangesSystem, build_system
 from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
@@ -107,10 +108,11 @@ def test_cond_profile_finite_off_flags():
     assert np.all(np.isfinite(result.cond_profile[result.unflagged]))
 
 
-def test_psi1_raises_beyond_cond_cutoff():
+def test_psi1_raises_beyond_cond_cutoff(monkeypatch):
     # alpha keeps D0 invertible on the fixtures, so force a tiny cutoff;
     # for W_COS, D0(-0.5) = i(1 - 0.5) has condition number 2
-    system = build_system(fixture("W_COS"), cond_cutoff=1.0 + 1e-9)
+    monkeypatch.setattr(debranges, "COND_CUTOFF", 1.0 + 1e-9)
+    system = build_system(fixture("W_COS"))
     with pytest.raises(ValueError, match="singular"):
         system.psi1(-0.5)
 

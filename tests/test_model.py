@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
 from twoweight.model import (build_model, cross_validate, intertwine_residual,
                              model_identity_residual, psi_direct, spectral_nu1)
@@ -22,15 +23,27 @@ def test_build_model_validation():
 def test_model_unitarity():
     for name in ("W_CONST", "W_COS", "W_DIAG"):
         model = build_model(fixture(name), 64)
-        for u in (model.u0, model.u1):
-            res = u @ u.conj().T - np.eye(u.shape[0])
-            assert np.abs(res).max() < 1e-12, name
+        assert np.abs(np.abs(model.phases) - 1.0).max() < 1e-12, name
+        u = model.u1
+        res = u @ u.conj().T - np.eye(u.shape[0])
+        assert np.abs(res).max() < 1e-12, name
 
 
 def test_gg_star_matches_weight_mean():
     w = fixture("W_DIAG")
     model = build_model(w, 64)
     assert np.abs(model.gg_star - np.diag([0.6, 0.8])).max() < 1e-12
+
+
+def test_g_blocks_are_node_square_roots():
+    # column block m of G is w0(theta_m)^{1/2} / sqrt(M), node by node
+    w = random_polynomial_weight(RNG, 2)
+    model = build_model(w, 64)
+    samples = w.samples_on(CircleGrid(64))
+    for m in range(64):
+        block = model.g[:, 2 * m:2 * m + 2]
+        assert np.abs(block - block.conj().T).max() < 1e-15
+        assert np.abs(64 * block @ block - samples[m]).max() < 1e-12
 
 
 def test_psi_direct_rejects_truncation_band():
@@ -61,7 +74,9 @@ def test_model_identities_and_intertwine():
 
 def test_cross_validation_errors_shrink_or_floor():
     system = build_system(fixture("W_DIAG"))
-    table = cross_validate(system, [0.3, -0.4j], [64, 128, 256])
+    models = [build_model(system.weight, m) for m in (64, 128, 256)]
+    table = cross_validate(system, [0.3, -0.4j], models)
+    assert list(table.sizes) == [64, 128, 256]
     assert table.errors.shape == (2, 3)
     for row in table.errors:
         for a, b in zip(row[:-1], row[1:]):
@@ -85,12 +100,22 @@ def test_spectral_cap():
     from twoweight.model import TruncatedModel
     n = 4097
     stub = TruncatedModel(size=n, dim=1, nodes=np.zeros(n),
-                          u0=np.zeros((2, 2), dtype=complex),
+                          phases=np.ones(n, dtype=complex),
                           g=np.zeros((1, n), dtype=complex),
-                          theta=np.zeros((n, n), dtype=complex),
+                          v=np.zeros((n, 1), dtype=complex), half=np.zeros(1),
                           u1=np.zeros((n, n), dtype=complex))
     with pytest.raises(ValueError, match="cap"):
         spectral_nu1(stub)
+
+
+def test_spectral_cluster_at_pi_ordered_by_mass():
+    # the atom and the decoupled node sit at pi within roundoff; the row
+    # order inside such a cluster must not depend on that roundoff
+    for size in (256, 512):
+        measure = spectral_nu1(build_model(fixture("W_COS"), size))
+        near = np.abs(measure.angles - np.pi) < 1e-9
+        assert near.sum() >= 2, size
+        assert np.all(np.diff(measure.trace_masses()[near]) >= 0.0), size
 
 
 def test_cos_atom_mass_near_pi():
