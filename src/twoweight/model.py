@@ -8,10 +8,10 @@ cross-validates the algebraic route without sharing any code with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .circle import CircleGrid, TWO_PI
 from .debranges import DeBrangesSystem
@@ -22,6 +22,12 @@ SPECTRAL_CAP = 4096
 SNAP_ONE = 1e-12
 TRUNCATION_BAND = 0.05
 CLUSTER = 1e-9
+# sin(half), or an eigenvalue of a node's weight Q_m, at or below DEFLATE
+# couples nothing; it moves an eigenvalue or a mass by about that much
+DEFLATE = 1e-15
+# entries of one (roots x nodes) block of the secular iteration
+CHUNK = 1 << 18
+SECULAR_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,8 @@ class TruncatedModel:
     U0 (multiplication by e^{i theta_m} on each node's k-dim fibre) is kept as
     its diagonal `phases`, and the rank-k Theta = V diag(2 half) V* as its
     factors: `v` (right singular vectors of G) and `half` (arcsin of the
-    squared singular values).  u1 = e^{i Theta/2} U0 e^{i Theta/2} is dense.
+    squared singular values).  Nothing of size Mk x Mk is stored: the dense
+    u1 = e^{i Theta/2} U0 e^{i Theta/2} is formed only when it is read.
 
     The quadrature inner product (1/M) sum ||f_m||^2 is folded into G by the
     symmetric 1/sqrt(M) scaling, so adjoints are plain conjugate transposes
@@ -45,11 +52,18 @@ class TruncatedModel:
     g: np.ndarray
     v: np.ndarray
     half: np.ndarray
-    u1: np.ndarray
 
     @property
     def gg_star(self) -> np.ndarray:
         return self.g @ self.g.conj().T
+
+    @cached_property
+    def u1(self) -> np.ndarray:
+        # e^{i Theta/2} = I + V (e^{i half} - 1) V*, and E U0 = E * phases
+        n = self.size * self.dim
+        exp_half = np.eye(n, dtype=complex) \
+            + (self.v * (np.exp(1j * self.half) - 1.0)) @ self.v.conj().T
+        return (exp_half * self.phases) @ exp_half
 
 
 def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
@@ -68,16 +82,13 @@ def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
     v = vh.conj().T
     s2 = np.clip(s ** 2, 0.0, 1.0)
     s2 = np.where(np.abs(s2 - 1.0) <= SNAP_ONE, 1.0, s2)
-    half = np.arcsin(s2)
-    # e^{i Theta/2} = I + V (e^{i half} - 1) V*, and E U0 = E * phases
-    exp_half = np.eye(size * k, dtype=complex) + (v * (np.exp(1j * half) - 1.0)) @ v.conj().T
-    u1 = (exp_half * phases) @ exp_half
     return TruncatedModel(size=size, dim=k, nodes=grid.nodes, phases=phases, g=g,
-                          v=v, half=half, u1=u1)
+                          v=v, half=np.arcsin(s2))
 
 
 def psi_direct(model: TruncatedModel, j: int, z: complex) -> np.ndarray:
-    """i G (U_j + z)(U_j - z)^-1 G*: diagonal for U0, a direct solve for U1."""
+    """i G (U_j + z)(U_j - z)^-1 G*: diagonal for U0, a k x k Woodbury solve
+    for U1 through the factors of Theta."""
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
     z = complex(z)
@@ -86,17 +97,24 @@ def psi_direct(model: TruncatedModel, j: int, z: complex) -> np.ndarray:
     if j == 0:
         cayley = (model.phases + z) / (model.phases - z)
         return 1j * ((model.g * cayley) @ model.g.conj().T)
-    u = model.u1
-    rhs = model.g.conj().T
-    x = np.linalg.solve(u - z * np.eye(u.shape[0]), rhs)
-    return 1j * (model.g @ (u @ x) + z * (model.g @ x))
+    # U1 - z = E (U0 - z E^-2) E with E^-2 = I + V C V*, C = e^{-2i half} - 1,
+    # and G E^-1 = U s e^{-i half} V*; with R = V*(U0 - z)^-1 V,
+    # G (U1 - z)^-1 G* = U s e^{-i half} (I - z R C)^-1 R e^{-i half} s U*
+    v, k = model.v, model.dim
+    us = model.g @ v
+    rot = np.exp(-1j * model.half)
+    r = v.conj().T @ (v / (model.phases - z)[:, None])
+    c = np.exp(-2j * model.half) - 1.0
+    x = np.linalg.solve(np.eye(k) - z * r * c, r)
+    inner = (us * rot) @ x @ (rot[:, None] * us.conj().T)
+    return 1j * (model.gg_star + 2.0 * z * inner)
 
 
 def _model_alpha(gg: np.ndarray) -> np.ndarray:
     # snap eigenvalues that rounded to just below 1, as in the weight-side
     # construction; sqrt(1 - lam^2) amplifies that rounding to ~1e-8 otherwise
     lam, vec = np.linalg.eigh(gg)
-    lam = np.where(lam > 1.0 - 1e-12, 1.0, lam)
+    lam = np.where(lam > 1.0 - SNAP_ONE, 1.0, lam)
     return psd_rebuild(vec, np.sqrt(np.clip(1.0 - lam * lam, 0.0, None)))
 
 
@@ -177,16 +195,207 @@ class SpectralMeasure:
             yield float(omega), float(tr)
 
 
+class _Secular:
+    """The secular function of U0 e^{i Theta}, which is similar to U1.
+
+    Scaled by sqrt(sin half) on both sides, its r x r matrix is
+    H(omega) = diag(cos half) + sum_m Q_m cot((theta_m - omega)/2) over the r
+    directions with half > 0, where Q_m = B_m* B_m and B_m is node m's k x r
+    block of V sqrt(sin half).  H increases on every arc between coupled
+    nodes (Q_m != 0), so each eigenvalue branch of H has at most one zero
+    there, and e^{i omega} is an eigenvalue of U1 exactly where H is singular.
+    """
+
+    def __init__(self, model: TruncatedModel):
+        size, k = model.size, model.dim
+        coupled = np.sin(model.half) > DEFLATE
+        root = np.sqrt(np.sin(model.half[coupled]))
+        vr = model.v[:, coupled]
+        r = vr.shape[1]
+        # mass amplitudes: G E y = (G V_r / root) c for the null vector c of H
+        self.amplitudes = (model.g @ vr) / root
+        b = (vr * root).reshape(size, k, r)
+        q = np.conj(np.swapaxes(b, 1, 2)) @ b
+        lam, vec = np.linalg.eigh(q)
+        strong = lam > DEFLATE
+        self.ranks = strong.sum(axis=1)
+        # a node of rank < r keeps the rest of its fibre exactly at theta_m
+        self.partial = np.flatnonzero((self.ranks > 0) & (self.ranks < r))
+        q[self.partial] = psd_rebuild(vec[self.partial],
+                                      np.where(strong[self.partial], lam[self.partial], 0.0))
+        self.null = [vec[m][:, ~strong[m]] for m in self.partial]
+        self.size, self.r = size, r
+        self.cols = np.flatnonzero(self.ranks > 0)
+        qc = q[self.cols].reshape(self.cols.size, r * r)
+        self.weights = np.concatenate([qc.real, qc.imag], axis=1)
+        self.q = q
+        self.traces = np.einsum("mii->m", q[self.cols]).real
+        self.diag = np.cos(model.half[coupled])
+
+    def _matrices(self, flat: np.ndarray) -> np.ndarray:
+        rr = self.r * self.r
+        return (flat[:, :rr] + 1j * flat[:, rr:]).reshape(-1, self.r, self.r)
+
+    def half_angles(self, origin: np.ndarray) -> np.ndarray:
+        """(theta_m - theta_origin)/2 over the coupled nodes, reduced to
+        [-pi/2, pi/2) by integer node offsets (the grid size is a power of
+        two): nodes on both sides of the origin keep full relative precision."""
+        half = self.size // 2
+        steps = ((self.cols[None, :] - origin[:, None] + half) & (self.size - 1)) - half
+        return (np.pi / self.size) * steps
+
+    def _value(self, cot: np.ndarray) -> np.ndarray:
+        return self._matrices(cot @ self.weights) + np.diag(self.diag)
+
+    def evaluate(self, base: np.ndarray, origin: np.ndarray, t: np.ndarray):
+        """H, the far slope sum_{m != origin} Q_m csc^2((theta_m - omega)/2)
+        and the rounding scale sum_m |Q_m cot| of H at omega = theta_origin + t
+        (t != 0), with `base` = half_angles(origin)."""
+        cot = base - 0.5 * t[:, None]
+        np.tan(cot, out=cot)
+        np.divide(1.0, cot, out=cot)
+        h = self._value(cot)
+        scale = np.abs(cot) @ self.traces + self.diag.sum()
+        np.multiply(cot, cot, out=cot)
+        cot += 1.0
+        cot[np.arange(origin.size), np.searchsorted(self.cols, origin)] = 0.0
+        return h, self._matrices(cot @ self.weights), scale
+
+    def inertia_at_nodes(self) -> np.ndarray:
+        """Negative eigenvalues of H just left of each coupled node: those of
+        H without the node's own term, compressed to its null space."""
+        below = np.zeros(self.size, dtype=int)
+        for m, z in zip(self.partial, self.null):
+            x = self.half_angles(np.array([m]))
+            with np.errstate(divide="ignore"):
+                cot = np.where(self.cols == m, 0.0, 1.0 / np.tan(x))
+            h = z.conj().T @ self._value(cot)[0] @ z
+            below[m] = int((np.linalg.eigvalsh(h) < 0.0).sum())
+        return below[self.cols]
+
+
+def _quadratic_form(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    return np.einsum("li,lij,lj->l", x.conj(), mats, x).real
+
+
+def _model_distance(phi, near, far_slope, s, delta):
+    """Zero of the two-pole model c - near cot(s/2) + far cot((delta - s)/2)
+    of a branch phi increasing in the distance s from its near pole: `near`
+    is that pole's exact weight, `far` matches the rest of the slope at s."""
+    far = 2.0 * far_slope * np.sin(0.5 * (delta - s)) ** 2
+    c = phi + near / np.tan(0.5 * s) - far_slope * np.sin(delta - s)
+    cot_delta = 1.0 / np.tan(0.5 * delta)
+    # in y = cot(s/2): near y^2 - lin y + const = 0, larger root
+    lin = c + cot_delta * (near + far)
+    const = c * cot_delta - far
+    disc = np.sqrt(np.maximum(lin * lin - 4.0 * near * const, 0.0))
+    y = np.where(lin >= 0.0, (lin + disc) / (2.0 * near), 2.0 * const / (lin - disc))
+    return 2.0 * np.arctan2(1.0, y)
+
+
+def _secular_roots(sec: _Secular, left: np.ndarray, steps: np.ndarray,
+                   branch: np.ndarray):
+    """Zero of eigenvalue branch `branch` of H on each arc from node `left`
+    over `steps` grid steps: safeguarded two-pole Newton, vectorised.
+
+    Each root is held as its offset t from the nearer end of its arc (the
+    origin), so a root next to a node keeps its full relative precision.
+    Returns the origin, t, the branch's null vector c of H and c* K' c with
+    K' = sum_m Q_m csc^2((theta_m - omega)/2)."""
+    n = left.size
+    eps = np.finfo(float).eps
+    delta = (TWO_PI / sec.size) * steps
+    vec = np.empty((n, sec.r), dtype=complex)
+    norm = np.empty(n)
+
+    def evaluate(idx, base, pole, t):
+        h, far, scale = sec.evaluate(base, pole, t)
+        lam, x = np.linalg.eigh(h)
+        pick = np.arange(idx.size)
+        lam, x = lam[pick, branch[idx]], x[pick, :, branch[idx]]
+        near = _quadratic_form(x, sec.q[pole])
+        far = _quadratic_form(x, far)
+        return lam, x, near, far, scale
+
+    every = np.arange(n)
+    lam, _, near, far, _ = evaluate(every, sec.half_angles(left), left, 0.5 * delta)
+    # the branch's sign at mid-arc picks the nearer pole, which becomes the
+    # origin; phi = +-lambda increases with the distance s from it
+    from_left = lam >= 0.0
+    sign = np.where(from_left, 1.0, -1.0)
+    origin = np.where(from_left, left, (left + steps) & (sec.size - 1))
+    base = sec.half_angles(origin)
+    lo, hi = np.zeros(n), 0.5 * delta
+    with np.errstate(all="ignore"):
+        s = _model_distance(lam, near, 0.5 * far, 0.5 * delta, delta)
+    s = np.where(from_left, s, delta - s)
+    s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
+    active = np.ones(n, dtype=bool)
+    for _ in range(SECULAR_STEPS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        si = s[idx]
+        lam, x, near, far, scale = evaluate(idx, base if idx.size == n else base[idx],
+                                            origin[idx], sign[idx] * si)
+        phi = sign[idx] * lam
+        lo[idx] = np.where(phi < 0.0, si, lo[idx])
+        hi[idx] = np.where(phi > 0.0, si, hi[idx])
+        with np.errstate(all="ignore"):
+            step = _model_distance(phi, near, 0.5 * far, si, delta[idx])
+        step = np.where((step > lo[idx]) & (step < hi[idx]), step, 0.5 * (lo[idx] + hi[idx]))
+        done = (np.abs(lam) <= 8.0 * eps * scale) | (np.abs(step - si) <= 4.0 * eps * si) \
+            | (hi[idx] - lo[idx] <= 4.0 * eps * si)
+        vec[idx], norm[idx] = x, far + near / np.sin(0.5 * si) ** 2
+        s[idx] = np.where(done, si, step)
+        active[idx] = ~done
+    return origin, sign * s, vec, norm
+
+
 def spectral_nu1(model: TruncatedModel) -> SpectralMeasure:
-    """Eigendecompose U1 and push the eigenprojections through G."""
-    n = model.u1.shape[0]
+    """Point spectrum of U1 from the secular equation of U0 e^{i Theta}.
+
+    Each eigenvalue e^{i omega} off the nodes is a zero of the r x r secular
+    function H (see `_Secular`); with c its null vector and
+    K' = sum_m Q_m csc^2((theta_m - omega)/2), its mass is A c c* A* / c* K' c
+    with A = G V_r diag(sin half)^{-1/2}.  A node whose block has rank < k
+    keeps the rest of its eigenvalues exactly at theta_m, with mass 0.
+    """
+    n = model.size * model.dim
     if n > SPECTRAL_CAP:
         raise ValueError(f"spectral cap exceeded: M*k = {n} > {SPECTRAL_CAP}")
-    t, q = scipy.linalg.schur(model.u1, output="complex")
-    eigs = np.diag(t)
-    amplitudes = model.g @ q
-    masses = np.einsum("kl,jl->lkj", amplitudes, np.conj(amplitudes))
-    angles = np.mod(np.angle(eigs), TWO_PI)
+    sec = _Secular(model)
+    size, k, cols = model.size, model.dim, sec.cols
+    ranks = sec.ranks[cols]
+    # arc i runs from cols[i] to the next coupled node; H's inertia right of
+    # its left node and left of its right node gives the branches that vanish.
+    # The counts telescope to sum(ranks) = M*k - deflated when none is negative
+    below = sec.inertia_at_nodes()
+    above = ranks + below
+    counts = above - np.roll(below, -1)
+    if np.any(counts < 0):
+        raise ValueError(f"secular root count negative on {int((counts < 0).sum())} arcs: "
+                         "H's inertia at the nodes is not resolved")
+    arcs = np.repeat(np.arange(cols.size), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    branch = np.repeat(above, counts) - 1 - (np.arange(arcs.size) - first)
+    steps = (np.roll(cols, -1) - cols) % size
+    steps[steps == 0] = size
+    left, steps = cols[arcs], steps[arcs]
+
+    angles = np.empty(arcs.size)
+    masses = np.empty((arcs.size, k, k), dtype=complex)
+    block = CHUNK // max(cols.size, 1)
+    for start in range(0, arcs.size, block):
+        part = slice(start, start + block)
+        origin, t, vec, norm = _secular_roots(sec, left[part], steps[part], branch[part])
+        angles[part] = np.mod(model.nodes[origin] + t, TWO_PI)
+        amp = vec @ sec.amplitudes.T
+        masses[part] = amp[:, :, None] * amp.conj()[:, None, :] / norm[:, None, None]
+    still = np.repeat(np.arange(size), k - sec.ranks)
+    angles = np.concatenate([angles, model.nodes[still]])
+    masses = np.concatenate([masses, np.zeros((still.size, k, k), dtype=complex)])
+
     order = np.argsort(angles, kind="stable")
     # angles chained within CLUSTER (at pi: the atom and the nodes where w0
     # has a zero column) are ordered by roundoff alone; order them by mass

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twoweight
 from twoweight.circle import CircleGrid
 from twoweight import cli
 from twoweight.cli import main
@@ -284,3 +287,14 @@ def test_version_exits_zero(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "twoweight" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_out():
+    # the package runs on numpy alone; a fresh interpreter proves it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twoweight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, twoweight.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

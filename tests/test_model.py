@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
-from twoweight.model import (build_model, cross_validate, intertwine_residual,
+from twoweight.model import (CLUSTER, build_model, cross_validate, intertwine_residual,
                              model_identity_residual, psi_direct, spectral_nu1)
-from twoweight.weights import fixture, random_polynomial_weight
+from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
 
 RNG = np.random.default_rng(321)
 
@@ -96,14 +98,13 @@ def test_spectral_measure_total_mass_and_psd():
 
 
 def test_spectral_cap():
-    # stub with an oversized u1; the cap guard fires before any decomposition
+    # stub with an oversized M*k; the cap guard fires before any work
     from twoweight.model import TruncatedModel
     n = 4097
     stub = TruncatedModel(size=n, dim=1, nodes=np.zeros(n),
                           phases=np.ones(n, dtype=complex),
                           g=np.zeros((1, n), dtype=complex),
-                          v=np.zeros((n, 1), dtype=complex), half=np.zeros(1),
-                          u1=np.zeros((n, n), dtype=complex))
+                          v=np.zeros((n, 1), dtype=complex), half=np.zeros(1))
     with pytest.raises(ValueError, match="cap"):
         spectral_nu1(stub)
 
@@ -130,3 +131,118 @@ def test_cumulative_trace_monotone():
     _, cum = measure.cumulative_trace()
     assert np.all(np.diff(cum) > -1e-14)
     assert abs(cum[-1] - 1.4) < 1e-10  # trace of diag(0.6, 0.8)
+
+
+def _partial_rank_weight(size):
+    # k = 2 samples of rank 2, 1 and 0, with a heavy node just left of a
+    # rank-1 node, so H restricted to that node's null space is negative
+    rng = np.random.default_rng(11)
+    values = np.zeros((size, 2, 2), dtype=complex)
+    for m in range(size):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a[int(rng.integers(0, 3)):] = 0.0
+        values[m] = a.conj().T @ a
+    values[9] = np.diag([size, 0.01])
+    values[10] = np.diag([0.0, 0.3])
+    return normalize(MatrixWeight.from_samples(values))
+
+
+def _oracle_weights():
+    rng = np.random.default_rng(77)
+    named = [(name, fixture(name)) for name in ("W_CONST", "W_COS", "W_DIAG", "W_RANK1")]
+    named += [("k2", random_polynomial_weight(rng, 2)),
+              ("k3", random_polynomial_weight(rng, 3)),
+              ("partial", _partial_rank_weight(64))]
+    return named
+
+
+def _unwrapped(angles):
+    # an eigenvalue on the 0/2pi seam may read either end
+    return np.where(angles > 2.0 * np.pi - CLUSTER, angles - 2.0 * np.pi, angles)
+
+
+def test_spectral_matches_dense_eig():
+    # the secular route against numpy's eig of the dense u1: same rows,
+    # same angles and the same cumulative mass at every 1e-9 cluster end
+    for label, w in _oracle_weights():
+        top = 1 << ((512 // w.dim).bit_length() - 1)
+        for size in (64,) if label == "partial" else (64, top):
+            model = build_model(w, size)
+            measure = spectral_nu1(model)
+            n = size * w.dim
+            assert measure.angles.size == n, (label, size)
+            lam, vec = np.linalg.eig(model.u1)
+            ref = _unwrapped(np.mod(np.angle(lam), 2.0 * np.pi))
+            order = np.argsort(ref, kind="stable")
+            ref, vec = ref[order], vec[:, order]
+            got = _unwrapped(measure.angles)
+            mine = np.argsort(got, kind="stable")
+            assert np.abs(got[mine] - ref).max() < 1e-12, (label, size)
+            ends = np.flatnonzero(np.diff(np.append(ref, np.inf)) > CLUSTER)
+            cum = np.cumsum(measure.masses[mine], axis=0)
+            total = np.zeros((w.dim, w.dim), dtype=complex)
+            start = 0
+            for end in ends:
+                basis, _ = np.linalg.qr(vec[:, start:end + 1])
+                amp = model.g @ basis
+                total += amp @ amp.conj().T
+                assert np.abs(cum[end] - total).max() < 1e-12, (label, size, end)
+                start = end + 1
+
+
+def test_deflated_rows_carry_no_mass():
+    # W_COS has a zero column at pi; W_RANK1 has a zero column at pi and its
+    # second direction never couples: M*k minus the coupled ranks rows stay
+    # on their nodes with mass exactly 0
+    size = 128
+    nodes = CircleGrid(size).nodes
+    for name, deflated in (("W_COS", 1), ("W_RANK1", size + 1)):
+        measure = spectral_nu1(build_model(fixture(name), size))
+        zero = np.all(measure.masses == 0.0, axis=(1, 2))
+        assert zero.sum() == deflated, name
+        assert np.all(np.isin(measure.angles[zero], nodes)), name
+    measure = spectral_nu1(build_model(_partial_rank_weight(64), 64))
+    zero = np.all(measure.masses == 0.0, axis=(1, 2))
+    assert zero.sum() > 0
+    assert np.all(np.isin(measure.angles[zero], CircleGrid(64).nodes))
+
+
+def test_secular_count_guard(monkeypatch):
+    # an inertia that does not fall along an arc cannot be turned into roots
+    import twoweight.model as model_module
+    model = build_model(fixture("W_DIAG"), 64)
+
+    def skewed(sec):
+        below = np.zeros(sec.cols.size, dtype=int)
+        below[5] = 3
+        return below
+
+    monkeypatch.setattr(model_module._Secular, "inertia_at_nodes", skewed)
+    with pytest.raises(ValueError, match="secular root count"):
+        spectral_nu1(model)
+
+
+def test_woodbury_psi1_matches_dense_solve():
+    for label, w in _oracle_weights():
+        model = build_model(w, 64)
+        u = model.u1
+        for z in (0.3, -0.2 + 0.5j, 0.6j, 1.8 - 0.4j):
+            x = np.linalg.solve(u - z * np.eye(u.shape[0]), model.g.conj().T)
+            dense = 1j * (model.g @ (u @ x) + z * (model.g @ x))
+            assert np.abs(psi_direct(model, 1, z) - dense).max() < 1e-13, (label, z)
+
+
+def test_model_path_has_no_dense_arrays():
+    # a dense u1 at M = 8192 alone is 1 GiB; the factored route never forms it
+    tracemalloc.start()
+    try:
+        big = build_model(fixture("W_COS"), 8192)
+        psi_direct(big, 1, 0.3)
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+        model = build_model(fixture("W_COS"), 4096)
+        tracemalloc.reset_peak()
+        spectral_nu1(model)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert "u1" not in vars(big) and "u1" not in vars(model)
