@@ -80,7 +80,8 @@ class DeBrangesSystem:
     def dim(self) -> int:
         return self.gg_star.shape[0]
 
-    def d0(self, z: complex) -> np.ndarray:
+    def d0(self, z) -> np.ndarray:
+        """alpha + psi0 at a point, or at each point of an array of points."""
         return self.alpha + self.psi0.psi(z)
 
     def psi1(self, z: complex) -> np.ndarray:

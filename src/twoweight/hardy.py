@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circle import CircleGrid, MatrixSampleField, TWO_PI, next_power_of_two
-from .debranges import COND_CUTOFF, DeBrangesSystem, _cond
+from .debranges import COND_CUTOFF, DeBrangesSystem, _cond_batch
 from .herglotz import pair_kernel_quadrature
 from .weights import MatrixWeight
 
@@ -21,6 +21,9 @@ DELTA_POLE = 1e-3
 OVERSAMPLE = 8
 QUADRATURE_OFFSET = 10.0
 RICHARDSON_WEIGHTS = (8.0 / 3.0, -2.0, 1.0 / 3.0)
+# grid nodes per block of the corpus-wide contraction pass: the block's
+# kernel (functions x nodes x terms) stays around a megabyte
+NODE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,15 @@ def _field_gram(fields: np.ndarray, w_samples: np.ndarray,
     return 0.5 * (gram + gram.conj().T)
 
 
-def _field_norm2(fields: np.ndarray, w_samples: np.ndarray,
-                 mask: Optional[np.ndarray], size: int) -> np.ndarray:
-    if mask is not None:
-        fields = np.where(mask[:, None, None], fields, 0.0)
-    vals = np.einsum("mbk,mkl,mbl->b", np.conj(fields), w_samples, fields) / size
-    return vals.real
+def _block_norm2(fields: Sequence[np.ndarray], w_samples: np.ndarray) -> np.ndarray:
+    """sum over a node block of (w f, f) per function, from the k components
+    f[a] of shape (functions, nodes) and the block's (nodes, k, k) weight."""
+    dim = len(fields)
+    total = 0.0
+    for a in range(dim):
+        wf = sum(w_samples[:, a, b] * fields[b] for b in range(dim))
+        total = total + (np.conj(fields[a]) * wf).real.sum(axis=1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -208,15 +214,18 @@ class HardyOperators:
 
     # -- pointwise operators --------------------------------------------
 
+    def _rotate(self, poles: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """D0(z_t) chi_t for every pole z_t, from one evaluation of D0 at all
+        poles behind one condition guard."""
+        d = self.system.d0(poles)
+        singular = np.flatnonzero(_cond_batch(d) > COND_CUTOFF)
+        if singular.size:
+            raise ValueError(f"D0 numerically singular at pole z = {poles[singular[0]]}")
+        return (d @ coefficients[:, :, None])[:, :, 0]
+
     def apply_x(self, f: RationalTestFunction) -> RationalTestFunction:
         """Same poles, coefficients rotated by D0 at each pole."""
-        rotated = np.empty_like(f.coefficients)
-        for i, z in enumerate(f.poles):
-            d = self.system.d0(complex(z))
-            if _cond(d) > COND_CUTOFF:
-                raise ValueError(f"D0 numerically singular at pole z = {z}")
-            rotated[i] = d @ f.coefficients[i]
-        return RationalTestFunction(f.poles.copy(), rotated)
+        return RationalTestFunction(f.poles.copy(), self._rotate(f.poles, f.coefficients))
 
     def apply_y(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
         """D0^{+-}(theta) f(e^{i theta}) at grid nodes; flagged rows zeroed."""
@@ -364,10 +373,40 @@ class HardyOperators:
 
     def contraction_ratios(self, functions: Sequence[RationalTestFunction],
                            side: str = "+") -> np.ndarray:
-        """||P f||^2_{L2(w1), unflagged} / ||f||^2_{L2(w0)} per test function."""
-        sources = np.stack([f.evaluate_on(self.grid) for f in functions], axis=1)
-        images = np.stack([self.project(f, side) for f in functions], axis=1)
-        m = self.grid.size
-        num = _field_norm2(images, self.w1_samples, self.unflagged, m)
-        den = _field_norm2(sources, self.w0_samples, None, m)
+        """||P f||^2_{L2(w1), unflagged} / ||f||^2_{L2(w0)} per test function.
+
+        The grid must resolve the poles: M >= 8/standoff for the smallest
+        standoff in the corpus, else ValueError.  The corpus is stacked once
+        (poles padded with zero coefficients, X applied to all poles at once)
+        and the grid is walked in blocks of NODE_BLOCK nodes, where one
+        product of the kernel 1/(mu - z) with [chi | D0(z) chi] gives f and
+        Xf; no grid-sized array per function is formed.
+        """
+        _clearance_grid(min(f.standoff for f in functions), self.grid)
+        dim = self.system.dim
+        counts = np.array([f.poles.size for f in functions])
+        present = np.arange(counts.max()) < counts[:, None]
+        poles = np.zeros(present.shape, dtype=complex)
+        poles[present] = np.concatenate([f.poles for f in functions])
+        coeffs = np.zeros(present.shape + (2 * dim,), dtype=complex)
+        coeffs[present, :dim] = np.concatenate([f.coefficients for f in functions])
+        coeffs[present, dim:] = self._rotate(poles[present], coeffs[present, :dim])
+
+        mult = self.d0_inner if side == "+" else self.d0_outer
+        sign = 0.5j if side == "+" else -0.5j
+        num = np.zeros(len(functions))
+        den = np.zeros(len(functions))
+        for lo in range(0, self.grid.size, NODE_BLOCK):
+            block = slice(lo, lo + NODE_BLOCK)
+            kernel = np.reciprocal(self.grid.points[block, None] - poles[:, None, :])
+            values = kernel @ coeffs
+            source = [values[:, :, a] for a in range(dim)]
+            y = mult[block]
+            keep = self.unflagged[block]
+            image = []
+            for a in range(dim):
+                yf = sum(y[:, a, b] * source[b] for b in range(dim))
+                image.append(np.where(keep, sign * (values[:, :, dim + a] - yf), 0.0))
+            num += _block_norm2(image, self.w1_samples[block])
+            den += _block_norm2(source, self.w0_samples[block])
         return num / den

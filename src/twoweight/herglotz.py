@@ -110,13 +110,17 @@ class HerglotzEvaluator:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def psi(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if abs(1.0 - abs(z)) < DELTA_MIN:
+    def psi(self, z) -> np.ndarray:
+        """psi at a point off the circle, or at each point of an array of them
+        (output shape z.shape + (k, k))."""
+        z = np.asarray(z, dtype=complex)
+        if np.any(np.abs(1.0 - np.abs(z)) < DELTA_MIN):
             raise ValueError("z too close to the circle; use boundary operations")
-        if abs(z) < 1.0:
-            return 1j * evaluate_series(self.series, z)
-        return _adjoint(1j * evaluate_series(self.series, 1.0 / np.conj(z)))
+        outer = np.abs(z) > 1.0
+        inner = z.copy()
+        inner[outer] = 1.0 / np.conj(z[outer])
+        values = 1j * evaluate_series(self.series, inner)
+        return np.where(outer[..., None, None], _adjoint(values), values)
 
     def boundary_profile(self, theta: np.ndarray, side: str = "inner") -> np.ndarray:
         """Radial boundary values of psi at e^{i theta}, vectorized over angles.

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from twoweight import hardy
 from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
 from twoweight.hardy import (HardyOperators, RationalTestFunction,
                              gram_norm_estimate, load_corpus,
                              random_test_functions, save_corpus,
                              weighted_inner)
-from twoweight.weights import fixture
+from twoweight.weights import fixture, random_polynomial_weight
 
 RNG = np.random.default_rng(99)
 
@@ -122,6 +125,72 @@ def test_contraction_on_fixtures():
         for side in ("+", "-"):
             ratios = ops.contraction_ratios(funcs, side)
             assert ratios.max() <= 1.0 + 1e-6, (name, side)
+
+
+def _reference_ratios(ops, functions, side):
+    """Per-function ratios from project() and full-grid norms."""
+    keep = ops.unflagged[:, None, None]
+    sources = np.stack([f.evaluate_on(ops.grid) for f in functions], axis=1)
+    images = np.stack([ops.project(f, side) for f in functions], axis=1)
+    images = np.where(keep, images, 0.0)
+    num = np.einsum("mbk,mkl,mbl->b", np.conj(images), ops.w1_samples, images).real
+    den = np.einsum("mbk,mkl,mbl->b", np.conj(sources), ops.w0_samples, sources).real
+    return num / den
+
+
+def test_contraction_ratios_match_per_function_reference():
+    rng = np.random.default_rng(2024)
+    weights = [fixture(name) for name in ("W_CONST", "W_COS", "W_DIAG", "W_RANK1")]
+    weights.append(random_polynomial_weight(np.random.default_rng(7), 3))
+    for w in weights:
+        ops = HardyOperators.build(build_system(w), 4096)
+        dim = ops.system.dim
+        funcs = (random_test_functions(rng, 4, dim, max_terms=1)
+                 + random_test_functions(rng, 12, dim, max_terms=5))
+        # one-term and five-term functions side by side exercise the padding
+        assert {1, 5} <= {f.poles.size for f in funcs}
+        for side in ("+", "-"):
+            ratios = ops.contraction_ratios(funcs, side)
+            reference = _reference_ratios(ops, funcs, side)
+            assert np.abs(ratios - reference).max() <= 1e-12 * reference.max(), (dim, side)
+
+
+def test_contraction_ratios_require_grid_clearance():
+    system = build_system(fixture("W_COS"))
+    f = RationalTestFunction(np.array([1.01 * np.exp(2j), 1.5]), np.array([[1.0], [1.0]]))
+    with pytest.raises(ValueError, match="grid"):
+        HardyOperators.build(system, 64).contraction_ratios([f], "+")
+    # unguarded, M = 64 read 0.3405 here: off by 0.031 from the resolved value
+    fine = HardyOperators.build(system, 4096).contraction_ratios([f], "+")
+    finer = HardyOperators.build(system, 8192).contraction_ratios([f], "+")
+    assert abs(fine[0] - finer[0]) < 1e-5
+
+
+def test_cond_guard_covers_apply_x_and_contraction(monkeypatch):
+    ops = _ops("W_DIAG")
+    funcs = random_test_functions(np.random.default_rng(11), 3, 2,
+                                  standoff_range=(0.05, 0.9))
+    monkeypatch.setattr(hardy, "COND_CUTOFF", 0.0)
+    with pytest.raises(ValueError, match="numerically singular at pole") as info:
+        ops.apply_x(funcs[0])
+    assert str(funcs[0].poles[0]) in str(info.value)
+    with pytest.raises(ValueError, match="numerically singular at pole"):
+        ops.contraction_ratios(funcs, "-")
+
+
+def test_contraction_ratios_stay_blockwise():
+    """No array of grid size per test function: the corpus pass walks the
+    grid in node blocks (holding every function's grid values would peak
+    near 50 MB here)."""
+    ops = _ops("W_DIAG", 4096)
+    funcs = random_test_functions(np.random.default_rng(5), 100, 2)
+    tracemalloc.start()
+    try:
+        ops.contraction_ratios(funcs, "+")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_projection_vs_quadrature_probe():

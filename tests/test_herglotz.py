@@ -41,6 +41,17 @@ def test_psi_rejects_points_near_circle():
     ev = HerglotzEvaluator.from_weight(fixture("W_COS"))
     with pytest.raises(ValueError, match="boundary"):
         ev.psi(1.0 + 1e-10)
+    with pytest.raises(ValueError, match="boundary"):
+        ev.psi(np.array([0.3, 1.0 + 1e-10, 2.0]))
+
+
+def test_psi_on_an_array_matches_pointwise():
+    ev = HerglotzEvaluator.from_weight(fixture("W_DIAG"))
+    points = np.array([[0.0, 0.4 * np.exp(0.9j)], [-1.5j, 2.5 + 0.1j]])
+    values = ev.psi(points)
+    assert values.shape == (2, 2, 2, 2)
+    for idx in np.ndindex(points.shape):
+        assert np.abs(values[idx] - ev.psi(points[idx])).max() < 1e-14
 
 
 def test_psi_positive_imaginary_part_inside():
