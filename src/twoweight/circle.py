@@ -50,11 +50,6 @@ class CircleGrid:
         """Unit-circle samples e^{i theta_m}."""
         return np.exp(1j * self.nodes)
 
-    def node_index(self, theta: float) -> int:
-        """Index of the grid node nearest to theta (mod 2*pi)."""
-        m = int(np.rint(theta * self.size / TWO_PI)) % self.size
-        return m
-
 
 @dataclass(frozen=True)
 class MatrixSampleField:

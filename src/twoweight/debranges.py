@@ -21,10 +21,6 @@ PSD_CLAMP = 1e-10
 RESOLVE = 4.0
 
 
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
 def _cond_batch(values: np.ndarray) -> np.ndarray:
     """||A^-1|| * max(1, ||A||) per matrix: collapses to 1/sigma_min for
     small matrices, so it still flags scalar values shrinking to zero."""
@@ -90,17 +86,6 @@ class DeBrangesSystem:
         if cond > COND_CUTOFF:
             raise ValueError(f"D0 numerically singular at z = {z}")
         return self.alpha - np.linalg.inv(d)
-
-    def identity_residual(self, z: complex) -> float:
-        """Residual of (alpha+psi0)(alpha-psi1) = (alpha-psi1)(alpha+psi0) = I.
-
-        Near-tautological for this psi1 construction; kept as conditioning
-        surveillance.  The independent check lives in the model module.
-        """
-        left = self.alpha + self.psi0.psi(z)
-        right = self.alpha - self.psi1(z)
-        eye = np.eye(self.dim)
-        return max(_opnorm(left @ right - eye), _opnorm(right @ left - eye))
 
     def boundary_profile(self, grid: CircleGrid):
         """D0+ values and condition numbers on all grid nodes."""

@@ -3,7 +3,6 @@ Y+/Y-, the weighted Hilbert transform, and Galerkin operator-norm bounds."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -75,20 +74,6 @@ class RationalTestFunction:
     def __rmul__(self, scalar: complex) -> "RationalTestFunction":
         return RationalTestFunction(self.poles, scalar * self.coefficients)
 
-    def to_dict(self) -> dict:
-        return {
-            "poles": [[z.real, z.imag] for z in self.poles],
-            "coefficients": [[[c.real, c.imag] for c in row]
-                             for row in self.coefficients],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RationalTestFunction":
-        poles = np.array([complex(re, im) for re, im in doc["poles"]])
-        coeffs = np.array([[complex(re, im) for re, im in row]
-                           for row in doc["coefficients"]])
-        return cls(poles=poles, coefficients=coeffs)
-
 
 def random_test_functions(rng: np.random.Generator, count: int, dim: int,
                           max_terms: int = 5,
@@ -108,21 +93,6 @@ def random_test_functions(rng: np.random.Generator, count: int, dim: int,
         coeffs = rng.standard_normal((terms, dim)) + 1j * rng.standard_normal((terms, dim))
         out.append(RationalTestFunction(poles=poles, coefficients=coeffs))
     return out
-
-
-def save_corpus(functions: Sequence[RationalTestFunction], path,
-                seed: Optional[int] = None) -> None:
-    doc = {"seed": seed, "functions": [f.to_dict() for f in functions]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_corpus(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    functions = [RationalTestFunction.from_dict(d) for d in doc["functions"]]
-    return functions, doc.get("seed")
 
 
 def _clearance_grid(standoff: float, base: Optional[CircleGrid]) -> CircleGrid:

@@ -158,6 +158,8 @@ class SuiteConfig:
         check_grid_size(self.grid_size)
         # 0 is allowed as an explicit probe of the floating-point floor
         for key, tol in self.tolerances.items():
+            if key != "*" and key.split("[", 1)[0] not in _CHECK_NAMES:
+                raise ValueError(f"tolerance override {key!r} names no check")
             if not np.isfinite(tol) or tol < 0:
                 raise ValueError(f"tolerance override {key!r} must be finite and >= 0")
 
@@ -178,12 +180,10 @@ _CLOSED_FORM_W1 = {
     "W_RANK1": np.diag([0.5, 0.0]).astype(complex),
 }
 _DEFICITS = {"W_CONST": 0.0, "W_COS": 0.5, "W_DIAG": 0.0, "W_RANK1": 0.5}
-_PURE_AC = ("W_CONST", "W_DIAG")
-_WITH_ATOM = ("W_COS", "W_RANK1")
 
 
 class _SuiteContext:
-    """Caches weights, systems, operator bundles and models across checks."""
+    """Caches weights, systems, operators, models and reports across checks."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
@@ -191,6 +191,8 @@ class _SuiteContext:
         self._systems: Dict[str, DeBrangesSystem] = {}
         self._ops: Dict[Tuple[str, int], HardyOperators] = {}
         self._models: Dict[Tuple[str, int], object] = {}
+        self._nondegeneracy: Dict[str, NondegeneracyReport] = {}
+        self._koosis: Optional[KoosisResult] = None
         self._random_labels: Optional[list] = None
 
     def register(self, label: str, weight: MatrixWeight) -> None:
@@ -217,6 +219,21 @@ class _SuiteContext:
         if key not in self._models:
             self._models[key] = build_model(self.weight(fx), size)
         return self._models[key]
+
+    def nondegeneracy(self, label: str) -> NondegeneracyReport:
+        if label not in self._nondegeneracy:
+            ops = self.ops(label, self.config.grid_size)
+            self._nondegeneracy[label] = nondegeneracy_report(ops.system, ops.companion)
+        return self._nondegeneracy[label]
+
+    def koosis_inverse_cos(self) -> KoosisResult:
+        """The scalar pipeline on v0 = 1/(1 + cos theta), run once per suite."""
+        if self._koosis is None:
+            grid = CircleGrid(CONTRACTION_GRID)
+            with np.errstate(divide="ignore"):
+                v0 = 1.0 / (1.0 + np.cos(grid.nodes))
+            self._koosis = koosis_pipeline(v0, grid, seed=self.config.seed)
+        return self._koosis
 
     def random_labels(self) -> list:
         """Labels of the random weights, fixed by the suite seed alone and
@@ -340,17 +357,6 @@ def _check_spec_roundtrip(fx, ctx, rng):
     return float(np.abs(back.samples_on(grid) - w.samples_on(grid)).max())
 
 
-def _check_herglotz_symmetry(fx, ctx, rng):
-    ev = ctx.system(fx).psi0
-    worst = 0.0
-    for _ in range(6):
-        z = _draw_z(rng)
-        lhs = ev.psi(z).conj().T
-        rhs = ev.psi(1.0 / np.conj(z))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)) / (1.0 + float(np.linalg.norm(lhs, 2))))
-    return worst
-
-
 def _check_herglotz_positivity(fx, ctx, rng):
     ev = ctx.system(fx).psi0
     worst = 0.0
@@ -410,14 +416,6 @@ def _check_alpha_identity(fx, ctx, rng):
     eye = np.eye(system.dim)
     resid = system.alpha @ system.alpha + system.gg_star @ system.gg_star - eye
     return float(np.linalg.norm(resid, 2))
-
-
-def _check_identity_residual(fx, ctx, rng):
-    system = ctx.system(fx)
-    worst = 0.0
-    for _ in range(10):
-        worst = max(worst, system.identity_residual(_draw_z(rng, lo=0.1)))
-    return worst
 
 
 def _check_psi1_positivity(fx, ctx, rng):
@@ -481,32 +479,20 @@ def _check_sandwich_random(ctx, rng):
     return worst
 
 
-def _reconstruction_nodes(ops: HardyOperators) -> np.ndarray:
-    return ops.unflagged & (ops.companion.cond_profile <= COND_LIMIT)
-
-
 def _check_reconstruction(fx, ctx, rng):
     ops = ctx.ops(fx, ctx.config.grid_size)
-    keep = _reconstruction_nodes(ops)
+    keep = ctx.nondegeneracy(fx).usable
     d0 = ops.d0_inner[keep]
     rebuilt = np.conj(np.swapaxes(d0, -1, -2)) @ ops.w1_samples[keep] @ d0
     return float(np.abs(rebuilt - ops.w0_samples[keep]).max())
 
 
 def _check_rank_equality(fx, ctx, rng):
-    ops = ctx.ops(fx, ctx.config.grid_size)
-    keep = _reconstruction_nodes(ops)
-    r0 = _psd_ranks(ops.w0_samples[keep], RANK_THRESHOLD)
-    r1 = _psd_ranks(ops.w1_samples[keep], RANK_THRESHOLD)
-    return float((r0 != r1).sum())
+    return float(ctx.nondegeneracy(fx).rank_mismatches)
 
 
 def _check_norm_bound(fx, ctx, rng):
-    ops = ctx.ops(fx, ctx.config.grid_size)
-    keep = _reconstruction_nodes(ops)
-    bound = _opnorms(ops.w0_samples[keep]) / _opnorms(ops.d0_inner[keep]) ** 2
-    have = _opnorms(ops.w1_samples[keep])
-    return max(0.0, float((bound - have).max()))
+    return max(0.0, float(ctx.nondegeneracy(fx).bound_gaps.max()))
 
 
 def _check_trace_budget(fx, ctx, rng):
@@ -721,6 +707,15 @@ def _check_x_gram_onesided(fx, ctx, rng):
     return max(max(0.0, -lam_min), max(0.0, worst_diag))
 
 
+def _check_x_gram_auto(label, ctx, rng):
+    # singular part unknown up front; pick the matching invariant from the
+    # measured deficit
+    ops = ctx.ops(label, CONTRACTION_GRID)
+    if ops.companion.deficit <= 1e-8:
+        return _check_x_gram_preservation(label, ctx, rng)
+    return _check_x_gram_onesided(label, ctx, rng)
+
+
 def _check_linearity(fx, ctx, rng):
     ops = ctx.ops(fx, 512)
     dim = ops.system.dim
@@ -759,22 +754,15 @@ def _check_mult_norm(fx, ctx, rng):
 
 
 def _check_koosis_inverse_cos(ctx, rng):
-    grid = CircleGrid(CONTRACTION_GRID)
-    with np.errstate(divide="ignore"):
-        v0 = 1.0 / (1.0 + np.cos(grid.nodes))
-    result = koosis_pipeline(v0, grid, seed=ctx.config.seed)
-    unflag = result.unflagged
-    dev = float(np.abs(result.v1[unflag] - 0.5).max())
+    result = ctx.koosis_inverse_cos()
+    dev = float(np.abs(result.v1[result.unflagged] - 0.5).max())
     log_dev = abs(result.diagnostics["log_integral"] - np.log(2.0))
     return max(dev, log_dev)
 
 
 def _check_koosis_galerkin(ctx, rng):
-    grid = CircleGrid(CONTRACTION_GRID)
-    with np.errstate(divide="ignore"):
-        v0 = 1.0 / (1.0 + np.cos(grid.nodes))
-    result = koosis_pipeline(v0, grid, seed=ctx.config.seed)
-    return max(0.0, result.diagnostics["galerkin_estimate"] - 1.0)
+    galerkin = ctx.koosis_inverse_cos().diagnostics["galerkin_estimate"]
+    return max(0.0, galerkin - 1.0)
 
 
 def _check_koosis_const(ctx, rng):
@@ -785,98 +773,115 @@ def _check_koosis_const(ctx, rng):
                max(0.0, result.diagnostics["galerkin_estimate"] - 1.0))
 
 
-def _check_nondegeneracy(fx, ctx, rng):
-    ops = ctx.ops(fx, ctx.config.grid_size)
-    report = nondegeneracy_report(ctx.system(fx), ops.companion)
-    return float(report.rank_mismatches + report.bound_violations)
+# -- the check table -----------------------------------------------------------
 
-
-# -- registry ----------------------------------------------------------------
-
-_PER_FIXTURE = [
-    ("circle.fft_roundtrip", 1e-12, _check_fft_roundtrip),
-    ("circle.parseval", 1e-10, _check_parseval),
-    ("weights.normalized", 1e-12, _check_normalized),
-    ("weights.moment_contraction", 1e-10, _check_moment_contraction),
-    ("weights.spec_roundtrip", 1e-14, _check_spec_roundtrip),
-    ("herglotz.symmetry", 1e-12, _check_herglotz_symmetry),
-    ("herglotz.positivity", 1e-10, _check_herglotz_positivity),
-    ("herglotz.jump_recovers_weight", 1e-10, _check_herglotz_jump),
-    ("herglotz.series_vs_quadrature", 1e-9, _check_series_vs_quadrature),
-    ("herglotz.pair_kernel", 1e-9, _check_pair_kernel),
-    ("herglotz.ladder_vs_exact", 1e-9, _check_ladder),
-    ("debranges.alpha_identity", 1e-12, _check_alpha_identity),
-    ("debranges.identity_residual", 1e-10, _check_identity_residual),
-    ("debranges.psi1_positivity", 1e-10, _check_psi1_positivity),
-    ("debranges.companion_psd", 1e-12, _check_companion_psd),
-    ("debranges.companion_closed_form", 1e-8, _check_companion_closed_form),
-    ("debranges.companion_ladder", 1e-9, _check_companion_ladder),
-    ("debranges.sandwich", 1e-8, _check_sandwich),
-    ("debranges.reconstruction", 1e-6, _check_reconstruction),
-    ("debranges.rank_equality", 0.5, _check_rank_equality),
-    ("debranges.norm_bound", 1e-8, _check_norm_bound),
-    ("debranges.trace_budget", 1e-8, _check_trace_budget),
-    ("model.unitarity", 1e-10, _check_model_unitarity),
-    ("model.intertwine", 1e-10, _check_model_intertwine),
-    ("model.identities", 1e-9, _check_model_identities),
-    ("model.cross_validation", 1e-12, _check_cross_validation),
-    ("model.spectral_total_mass", 1e-10, _check_spectral_total),
-    ("hardy.contraction", 1e-6, _check_contraction),
-    ("hardy.projection_vs_quadrature", 200.0 / QUADRATURE_GRID ** 2,
-     _check_projection_vs_quadrature),
-    ("hardy.multiplication_identity", 1e-10, _check_multiplication),
-    ("hardy.hilbert_vs_quadrature", 200.0 / QUADRATURE_GRID ** 2,
-     _check_hilbert_vs_quadrature),
-    ("hardy.gram_identity", 1e-9, _check_gram_identity),
-    ("hardy.y_isometry", 1e-6, _check_y_isometry),
-    ("hardy.linearity", 1e-12, _check_linearity),
-    ("hardy.mult_norm_estimate", 1e-8, _check_mult_norm),
-    ("verify.nondegeneracy", 0.5, _check_nondegeneracy),
-]
+# Where a row runs.  Per-weight rows run once on each weight in their scope,
+# named base[label], and take (label, ctx, rng):
+EVERY = "every"      # every weight, fixtures and --weight-spec weights alike
+FIXTURE = "fixture"  # fixtures only: their closed forms and deficits are known
+X_GRAM = "x_gram"    # the one X Gram row that fits the weight's deficit
+# The other rows run once per suite under their bare name and take (ctx, rng):
+SUITE = "suite"      # whenever a fixture is enabled
+RANDOM = "random"    # when the suite draws random weights
+# ... and a fixture name as scope: when that fixture is enabled.
 
 
 def _deficit_tolerance(config: SuiteConfig) -> float:
     return 5.0 / config.grid_size + 1e-10
 
 
+# (name, default tolerance, scope, check); a callable tolerance is a function
+# of the SuiteConfig
+CHECKS = (
+    ("circle.fft_roundtrip", 1e-12, EVERY, _check_fft_roundtrip),
+    ("circle.parseval", 1e-10, EVERY, _check_parseval),
+    ("weights.normalized", 1e-12, EVERY, _check_normalized),
+    ("weights.moment_contraction", 1e-10, EVERY, _check_moment_contraction),
+    ("weights.spec_roundtrip", 1e-14, EVERY, _check_spec_roundtrip),
+    ("herglotz.positivity", 1e-10, EVERY, _check_herglotz_positivity),
+    ("herglotz.jump_recovers_weight", 1e-10, EVERY, _check_herglotz_jump),
+    ("herglotz.series_vs_quadrature", 1e-9, EVERY, _check_series_vs_quadrature),
+    ("herglotz.pair_kernel", 1e-9, EVERY, _check_pair_kernel),
+    ("herglotz.ladder_vs_exact", 1e-9, EVERY, _check_ladder),
+    ("debranges.alpha_identity", 1e-12, EVERY, _check_alpha_identity),
+    ("debranges.psi1_positivity", 1e-10, EVERY, _check_psi1_positivity),
+    ("debranges.companion_psd", 1e-12, EVERY, _check_companion_psd),
+    ("debranges.companion_ladder", 1e-9, EVERY, _check_companion_ladder),
+    ("debranges.sandwich", 1e-8, EVERY, _check_sandwich),
+    ("debranges.reconstruction", 1e-6, EVERY, _check_reconstruction),
+    ("debranges.rank_equality", 0.5, EVERY, _check_rank_equality),
+    ("debranges.norm_bound", 1e-8, EVERY, _check_norm_bound),
+    ("debranges.trace_budget", 1e-8, EVERY, _check_trace_budget),
+    ("model.unitarity", 1e-10, EVERY, _check_model_unitarity),
+    ("model.intertwine", 1e-10, EVERY, _check_model_intertwine),
+    ("model.identities", 1e-9, EVERY, _check_model_identities),
+    ("model.cross_validation", 1e-12, EVERY, _check_cross_validation),
+    ("model.spectral_total_mass", 1e-10, EVERY, _check_spectral_total),
+    ("hardy.contraction", 1e-6, EVERY, _check_contraction),
+    ("hardy.projection_vs_quadrature", 200.0 / QUADRATURE_GRID ** 2, EVERY,
+     _check_projection_vs_quadrature),
+    ("hardy.multiplication_identity", 1e-10, EVERY, _check_multiplication),
+    ("hardy.hilbert_vs_quadrature", 200.0 / QUADRATURE_GRID ** 2, EVERY,
+     _check_hilbert_vs_quadrature),
+    ("hardy.gram_identity", 1e-9, EVERY, _check_gram_identity),
+    ("hardy.y_isometry", 1e-6, EVERY, _check_y_isometry),
+    ("hardy.linearity", 1e-12, EVERY, _check_linearity),
+    ("hardy.mult_norm_estimate", 1e-8, EVERY, _check_mult_norm),
+    ("debranges.companion_closed_form", 1e-8, FIXTURE, _check_companion_closed_form),
+    ("debranges.deficit", _deficit_tolerance, FIXTURE, _check_deficit),
+    ("hardy.x_gram_preservation", 1e-9, X_GRAM, _check_x_gram_preservation),
+    ("hardy.x_gram_onesided", 1e-9, X_GRAM, _check_x_gram_onesided),
+    ("hardy.x_gram", 1e-9, X_GRAM, _check_x_gram_auto),
+    ("circle.poisson_mean", 1e-12, SUITE, _check_poisson_mean),
+    ("weights.koosis_roundtrip", 1e-12, SUITE, _check_koosis_roundtrip),
+    ("weights.muckenhoupt_lower", 1e-10, SUITE, _check_muckenhoupt_lower),
+    ("debranges.sandwich_random", 1e-8, RANDOM, _check_sandwich_random),
+    ("hardy.gram_identity_random", 1e-9, RANDOM, _check_gram_identity_random),
+    ("model.spectral_atom_window", 5e-2, "W_COS", _check_spectral_atom),
+    ("hardy.projection_quadrature_rate", 1e-9, "W_COS", _check_projection_quadrature_rate),
+    ("verify.koosis_inverse_cos", 1e-8, "W_COS", _check_koosis_inverse_cos),
+    ("verify.koosis_galerkin", 1e-6, "W_COS", _check_koosis_galerkin),
+    ("model.spectral_ramp", 2.0 / 128, "W_DIAG", _check_spectral_ramp),
+    ("hardy.inner_closed_forms", 1e-10, "W_CONST", _check_inner_closed_forms),
+    ("hardy.projection_closed_forms", 1e-10, "W_CONST", _check_projection_closed_forms),
+    ("hardy.hilbert_closed_forms", 1e-10, "W_CONST", _check_hilbert_closed_forms),
+    ("hardy.pnorm_projection_const", 1e-8, "W_CONST", _check_pnorm_projection_const),
+    ("verify.koosis_const", 1e-10, "W_CONST", _check_koosis_const),
+)
+_CHECK_NAMES = frozenset(name for name, _, _, _ in CHECKS)
+
+
+def _x_gram_variant(label: str) -> str:
+    """Gram preservation when the weight's deficit is known to be 0, the
+    one-sided bound when it is known to be positive, and the choice from the
+    measured deficit on a --weight-spec weight."""
+    deficit = _DEFICITS.get(label)
+    if deficit is None:
+        return "hardy.x_gram"
+    return "hardy.x_gram_preservation" if deficit == 0.0 else "hardy.x_gram_onesided"
+
+
+def _tolerance(tol, config: SuiteConfig) -> float:
+    return tol(config) if callable(tol) else tol
+
+
+def _weight_checks(label: str, config: SuiteConfig) -> list:
+    """(name, default tolerance, callable) for the per-weight rows on label."""
+    return [(f"{base}[{label}]", _tolerance(tol, config), partial(fn, label))
+            for base, tol, scope, fn in CHECKS
+            if scope == EVERY or (scope == FIXTURE and label in _DEFICITS)
+            or (scope == X_GRAM and base == _x_gram_variant(label))]
+
+
 def enumerate_checks(config: SuiteConfig) -> list:
     """(name, default tolerance, callable) for every enabled check."""
     if not config.fixtures:
         return []
-    checks = []
-    for fx in config.fixtures:
-        for base, tol, fn in _PER_FIXTURE:
-            checks.append((f"{base}[{fx}]", tol, partial(fn, fx)))
-        checks.append((f"debranges.deficit[{fx}]", _deficit_tolerance(config),
-                       partial(_check_deficit, fx)))
-        if fx in _PURE_AC:
-            checks.append((f"hardy.x_gram_preservation[{fx}]", 1e-9,
-                           partial(_check_x_gram_preservation, fx)))
-        else:
-            checks.append((f"hardy.x_gram_onesided[{fx}]", 1e-9,
-                           partial(_check_x_gram_onesided, fx)))
-    checks.append(("circle.poisson_mean", 1e-12, _check_poisson_mean))
-    checks.append(("weights.koosis_roundtrip", 1e-12, _check_koosis_roundtrip))
-    checks.append(("weights.muckenhoupt_lower", 1e-10, _check_muckenhoupt_lower))
-    if config.random_weights > 0:
-        checks.append(("debranges.sandwich_random", 1e-8, _check_sandwich_random))
-        checks.append(("hardy.gram_identity_random", 1e-9, _check_gram_identity_random))
-    if "W_COS" in config.fixtures:
-        checks.append(("model.spectral_atom_window", 5e-2, _check_spectral_atom))
-        checks.append(("hardy.projection_quadrature_rate", 1e-9,
-                       _check_projection_quadrature_rate))
-        checks.append(("verify.koosis_inverse_cos", 1e-8, _check_koosis_inverse_cos))
-        checks.append(("verify.koosis_galerkin", 1e-6, _check_koosis_galerkin))
-    if "W_DIAG" in config.fixtures:
-        checks.append(("model.spectral_ramp", 2.0 / 128, _check_spectral_ramp))
-    if "W_CONST" in config.fixtures:
-        checks.append(("hardy.inner_closed_forms", 1e-10, _check_inner_closed_forms))
-        checks.append(("hardy.projection_closed_forms", 1e-10,
-                       _check_projection_closed_forms))
-        checks.append(("hardy.hilbert_closed_forms", 1e-10, _check_hilbert_closed_forms))
-        checks.append(("hardy.pnorm_projection_const", 1e-8,
-                       _check_pnorm_projection_const))
-        checks.append(("verify.koosis_const", 1e-10, _check_koosis_const))
+    checks = [check for fx in config.fixtures for check in _weight_checks(fx, config)]
+    for name, tol, scope, fn in CHECKS:
+        if (scope == SUITE or scope in config.fixtures
+                or (scope == RANDOM and config.random_weights > 0)):
+            checks.append((name, _tolerance(tol, config), fn))
     return checks
 
 
@@ -908,6 +913,24 @@ def run_suite(config: SuiteConfig) -> Report:
     if not checks:
         return Report(())
     return _run_entries(checks, config, _SuiteContext(config))
+
+
+def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
+                      tolerances: Optional[Dict[str, float]] = None,
+                      label: str = "WEIGHT") -> Report:
+    """Run the table's every-weight rows, and the X Gram row chosen from the
+    measured deficit, against a user-supplied weight.
+
+    The weight is normalized first; the fixture rows (closed form, deficit)
+    are skipped because there is nothing to compare against.
+    """
+    if label in FIXTURE_NAMES:
+        raise ValueError("label collides with a fixture name")
+    config = SuiteConfig(seed=seed, random_weights=0,
+                         tolerances=dict(tolerances or {}))
+    ctx = _SuiteContext(config)
+    ctx.register(label, normalize(weight))
+    return _run_entries(_weight_checks(label, config), config, ctx)
 
 
 # -- scalar pipeline ----------------------------------------------------------
@@ -996,45 +1019,29 @@ def koosis_pipeline(v0, grid: Optional[CircleGrid] = None, seed: int = DEFAULT_S
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    """Per-node ranks and the norm lower bound ||w1|| >= ||w0||/||D0+||^2."""
+    """Per-node ranks of w0 and w1 and the norm lower bound
+    ||w1|| >= ||w0||/||D0+||^2, compared on the usable nodes: unflagged, with
+    cond(D0+) <= COND_LIMIT."""
 
-    theta: np.ndarray
-    flags: np.ndarray
-    cond: np.ndarray
+    usable: np.ndarray
     rank_w0: np.ndarray
     rank_w1: np.ndarray
-    norm_w0: np.ndarray
     norm_w1: np.ndarray
     norm_bound: np.ndarray
 
     @property
-    def _usable(self) -> np.ndarray:
-        return ~self.flags & (self.cond <= COND_LIMIT)
-
-    @property
     def rank_mismatches(self) -> int:
-        keep = self._usable
+        keep = self.usable
         return int((self.rank_w0[keep] != self.rank_w1[keep]).sum())
 
     @property
+    def bound_gaps(self) -> np.ndarray:
+        """Excess of the bound over ||w1|| at each usable node."""
+        return self.norm_bound[self.usable] - self.norm_w1[self.usable]
+
+    @property
     def bound_violations(self) -> int:
-        keep = self._usable
-        gap = self.norm_bound[keep] - self.norm_w1[keep]
-        return int((gap > 1e-8).sum())
-
-    def summary(self) -> dict:
-        return {
-            "nodes": int(self.theta.size),
-            "flagged": int(self.flags.sum()),
-            "rank_mismatches": self.rank_mismatches,
-            "bound_violations": self.bound_violations,
-        }
-
-    def rows(self):
-        for i in range(self.theta.size):
-            yield (float(self.theta[i]), int(self.flags[i]), float(self.cond[i]),
-                   int(self.rank_w0[i]), int(self.rank_w1[i]),
-                   float(self.norm_w1[i]), float(self.norm_bound[i]))
+        return int((self.bound_gaps > 1e-8).sum())
 
 
 def nondegeneracy_report(system: DeBrangesSystem,
@@ -1048,47 +1055,9 @@ def nondegeneracy_report(system: DeBrangesSystem,
     bound = np.divide(w0_norm, d0_norm ** 2,
                       out=np.full_like(w0_norm, np.inf), where=d0_norm > 0)
     return NondegeneracyReport(
-        theta=grid.nodes.copy(),
-        flags=result.singular_flags.copy(),
-        cond=result.cond_profile.copy(),
+        usable=result.unflagged & (result.cond_profile <= COND_LIMIT),
         rank_w0=_psd_ranks(w0, RANK_THRESHOLD),
         rank_w1=_psd_ranks(w1, RANK_THRESHOLD),
-        norm_w0=w0_norm,
         norm_w1=_opnorms(w1),
         norm_bound=bound,
     )
-
-
-# -- custom weight entry point ------------------------------------------------
-
-_GENERIC_SKIP = {"debranges.companion_closed_form"}
-
-
-def _check_x_gram_auto(label, ctx, rng):
-    # singular part unknown up front; pick the matching invariant from the
-    # measured deficit
-    ops = ctx.ops(label, CONTRACTION_GRID)
-    if ops.companion.deficit <= 1e-8:
-        return _check_x_gram_preservation(label, ctx, rng)
-    return _check_x_gram_onesided(label, ctx, rng)
-
-
-def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
-                      tolerances: Optional[Dict[str, float]] = None,
-                      label: str = "WEIGHT") -> Report:
-    """Run the fixture-agnostic checks against a user-supplied weight.
-
-    The weight is normalized first; closed-form fixture comparisons are
-    skipped because there is nothing to compare against.
-    """
-    if label in FIXTURE_NAMES:
-        raise ValueError("label collides with a fixture name")
-    config = SuiteConfig(seed=seed, random_weights=0,
-                         tolerances=dict(tolerances or {}))
-    ctx = _SuiteContext(config)
-    ctx.register(label, normalize(weight))
-    checks = [(f"{base}[{label}]", tol, partial(fn, label))
-              for base, tol, fn in _PER_FIXTURE if base not in _GENERIC_SKIP]
-    checks.append((f"hardy.x_gram[{label}]", 1e-9,
-                   partial(_check_x_gram_auto, label)))
-    return _run_entries(checks, config, ctx)

@@ -18,7 +18,6 @@ def test_grid_nodes_and_points():
     assert grid.nodes.shape == (16,)
     assert np.allclose(grid.nodes, TWO_PI * np.arange(16) / 16)
     assert np.allclose(grid.points, np.exp(1j * grid.nodes))
-    assert grid.node_index(grid.nodes[5]) == 5
 
 
 def test_field_requires_finite_square_samples():

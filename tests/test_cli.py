@@ -157,6 +157,14 @@ def test_verify_fixtures_zero_tolerance_fails(tmp_path):
     assert all(e.tolerance == 0.0 for e in report.entries)
 
 
+def test_verify_unknown_tolerance_name_exits_two(tmp_path, capsys):
+    report_path = tmp_path / "report.txt"
+    rc = main(["verify", "--fixtures", "-t", "no.such=1", "-o", str(report_path)])
+    assert rc == 2
+    assert "'no.such'" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_report_fail_and_garbage(tmp_path, capsys):
     path = tmp_path / "saved.txt"
     path.write_text("status=fail\nchecks=1\n"

@@ -33,13 +33,6 @@ def test_scalar_weights_have_vanishing_alpha():
         assert np.abs(system.alpha).max() == 0.0
 
 
-def test_identity_residual_at_random_points():
-    for name, system in _systems():
-        for _ in range(5):
-            z = RNG.uniform(0.2, 0.7) * np.exp(1j * RNG.uniform(0, 2 * np.pi))
-            assert system.identity_residual(z) < 1e-10, name
-
-
 def test_d0_times_d1_is_minus_identity():
     system = build_system(fixture("W_DIAG"))
     z = 0.35 * np.exp(1.2j)

@@ -7,8 +7,7 @@ from twoweight import hardy
 from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
 from twoweight.hardy import (HardyOperators, RationalTestFunction,
-                             gram_norm_estimate, load_corpus,
-                             random_test_functions, save_corpus,
+                             gram_norm_estimate, random_test_functions,
                              weighted_inner)
 from twoweight.weights import fixture, random_polynomial_weight
 
@@ -30,18 +29,11 @@ def test_test_function_validation():
     assert abs(f.standoff - 1.0) < 1e-12
 
 
-def test_test_function_algebra_and_serialization(tmp_path):
+def test_test_function_algebra():
     fs = random_test_functions(RNG, 3, 2)
     combo = fs[0] + 2.0 * fs[1]
     pts = CircleGrid(64).points
     assert np.abs(combo(pts) - fs[0](pts) - 2.0 * fs[1](pts)).max() < 1e-13
-
-    path = tmp_path / "corpus.json"
-    save_corpus(fs, path, seed=99)
-    back, seed = load_corpus(path)
-    assert seed == 99
-    assert len(back) == 3
-    assert np.abs(back[0](pts) - fs[0](pts)).max() < 1e-15
 
 
 def test_weighted_inner_closed_forms():
