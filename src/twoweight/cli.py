@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -35,6 +36,130 @@ MODEL_POINTS = (0.3 + 0.0j, -0.2 + 0.35j, 0.45j)
 
 def _fmt(x) -> str:
     return format(float(x), ".17e")
+
+
+# -- CSV tables ---------------------------------------------------------------
+#
+# A table is written in blocks of rows, each rendered by numpy into one
+# (rows, cols, _CELL) byte array whose zero pad bytes are dropped at the end.
+# A float cell holds exactly _fmt(x): for x = 0 and for 1e-5 <= |x| < 1e18 the
+# 18 significant digits are N = round-half-even(|x| * 10^(17 - e)), formed
+# from the exact product hi + lo of |x| and the exact double 10^(17 - e)
+# (Dekker's two-product with Veltkamp splits, Numer. Math. 18, 1971); every
+# other float cell (inf, nan, tiny or huge values) is rendered by _fmt itself.
+
+_CELL = 26  # the widest cell, "-1.00000000000000000e+100", and its separator
+_BLOCK_ROWS = 1024
+_POW10 = np.array([float(10 ** p) for p in range(23)])  # exact doubles
+# "d.dd" for the first three digits, "ddd" for each later three, "e+dd" for
+# e = -5 .. 17; a fast cell is these pieces after an optional "-"
+_HEADS = np.frombuffer(b"".join(b"%d.%02d" % divmod(i, 100) for i in range(1000)),
+                       "V4")
+_TRIPLES = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), "V3")
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-5, 18)), "V4")
+_FAST_CELL = np.dtype([("sign", "u1"), ("head", "V4"), ("tail", "V3", (5,)),
+                       ("exponent", "V4"), ("pad", "u1")])
+
+
+def _split(a: np.ndarray):
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """hi + lo == a * b exactly, barring overflow and underflow."""
+    hi = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _round_scaled(a: np.ndarray, e: np.ndarray):
+    """round-half-even(a * 10^(17 - e)), and the step (-1, 0 or 1) that e
+    must take to bring the exact product into [10^17, 10^18); the rounded
+    value is 0 where the step is not 0."""
+    hi, lo = _two_product(a, _POW10[17 - e])
+    low = (hi < 1e17) | ((hi == 1e17) & (lo < 0.0))
+    high = (hi > 1e18) | ((hi == 1e18) & (lo >= 0.0))
+    ok = ~(low | high)
+    # hi is an even integer in range, so rint (half-even) on lo rounds hi + lo
+    n = np.where(ok, hi, 0.0).astype(np.int64)
+    n += np.where(ok, np.rint(lo), 0.0).astype(np.int64)
+    return n, high.astype(np.int64) - low
+
+
+def _significands(a: np.ndarray):
+    """For 1e-5 <= a < 1e18: the 18-digit significand N and the exponent e
+    of format(a, ".17e"), and the mask of the values that settled; the
+    others need _fmt."""
+    e = np.clip(np.floor(np.log10(a)), -5, 17).astype(np.int64)
+    n, step = _round_scaled(a, e)
+    redo = np.flatnonzero(step)
+    for _ in range(2):  # log10 misses floor(log10 a) by at most one
+        e[redo] += step[redo]
+        redo = redo[(e[redo] >= -5) & (e[redo] <= 17)]
+        n[redo], step[redo] = _round_scaled(a[redo], e[redo])
+        redo = redo[step[redo] != 0]
+    # N = 10^18 would round up into the next decade: left to _fmt
+    settled = (step == 0) & (n < 10 ** 18)
+    return np.where(settled, n, 0), e, settled
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """_fmt of each value as zero-padded ASCII, shape (values.size, _CELL - 1)."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    ax = np.abs(x)
+    fast = (ax >= 1e-5) & (ax < 1e18)
+    n, e, settled = _significands(np.where(fast, ax, 1.0))
+    zero = x == 0.0
+    n[zero] = 0
+    e[zero] = 0
+    top = n // 10 ** 9
+    halves = np.stack([top, n - top * 10 ** 9], axis=1).astype(np.int32)
+    lead, tail = np.divmod(halves, 10 ** 6)
+    mid, last = np.divmod(tail, 1000)
+    groups = np.stack([lead, mid, last], axis=2).reshape(-1, 6)
+
+    cells = np.zeros(x.size, dtype=_FAST_CELL)
+    cells["sign"] = np.where(np.signbit(x), ord("-"), 0)
+    cells["head"] = _HEADS.take(groups[:, 0])
+    cells["tail"] = _TRIPLES.take(groups[:, 1:])
+    # lanes that did not settle may hold e outside -5..17; _fmt overwrites them
+    cells["exponent"] = _EXPONENTS.take(e + 5, mode="clip")
+    cells = cells.view(np.uint8).reshape(x.size, _CELL - 1)
+    slow = ~(fast & settled | zero)
+    cells[slow] = _text_cells([_fmt(v) for v in x[slow].tolist()])
+    return cells
+
+
+def _text_cells(texts) -> np.ndarray:
+    """ASCII strings as zero-padded rows of shape (len(texts), _CELL - 1)."""
+    cells = np.array(texts, dtype=f"S{_CELL - 1}")
+    return cells.view(np.uint8).reshape(len(texts), _CELL - 1)
+
+
+def _csv_rows(columns):
+    """Yield the CSV text of equal-length 1-D columns, _BLOCK_ROWS rows at a
+    time: float columns as _fmt renders them, integer and bool columns as
+    %d.  Byte for byte the ",".join of the per-value strings, one line per
+    row."""
+    floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
+    ints = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
+    rows = len(columns[0])
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(rows, start + _BLOCK_ROWS)
+        cells = np.zeros((stop - start, len(columns), _CELL), dtype=np.uint8)
+        block = np.stack([columns[j][start:stop] for j in floats], axis=1)
+        cells[:, floats, :-1] = _float_cells(block).reshape(
+            stop - start, len(floats), _CELL - 1)
+        for j in ints:
+            values = columns[j][start:stop].astype(np.int64).tolist()
+            cells[:, j, :-1] = _text_cells(["%d" % v for v in values])
+        cells[:, :-1, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        flat = cells.reshape(-1)
+        yield flat[flat != 0].tobytes().decode("ascii")
 
 
 def _grid_size(text: str) -> int:
@@ -125,17 +250,9 @@ def _cmd_construct(args) -> int:
     # per node: Re and Im of w1_ij, row-major in (i, j)
     w1 = result.w1.values.reshape(-1, k * k)
     parts = np.stack([w1.real, w1.imag], axis=-1).reshape(w1.shape[0], -1)
-
-    def lines():
-        yield header + ",".join(cols) + "\n"
-        for theta, flag, cond, row in zip(result.grid.nodes.tolist(),
-                                          result.singular_flags.tolist(),
-                                          result.cond_profile.tolist(),
-                                          parts.tolist()):
-            yield ",".join([_fmt(theta), str(int(flag)), _fmt(cond),
-                            *map(_fmt, row)]) + "\n"
-
-    _atomic_write(args.out, lines())
+    columns = [result.grid.nodes, result.singular_flags, result.cond_profile, *parts.T]
+    _atomic_write(args.out, itertools.chain([header + ",".join(cols) + "\n"],
+                                            _csv_rows(columns)))
     return 0
 
 
@@ -234,11 +351,9 @@ def _cmd_scalar(args) -> int:
         value = result.diagnostics[key]
         params[key] = _fmt(value) if isinstance(value, float) else value
     header = _provenance("scalar", source, digest, params)
-    rows = ["theta,v0,v1,flag"]
-    for idx, theta in enumerate(grid.nodes):
-        rows.append(f"{_fmt(theta)},{_fmt(result.v0[idx])},"
-                    f"{_fmt(result.v1[idx])},{int(result.flags[idx])}")
-    _atomic_write(args.out, [header, "\n".join(rows), "\n"])
+    columns = [grid.nodes, result.v0, result.v1, result.flags]
+    _atomic_write(args.out, itertools.chain([header, "theta,v0,v1,flag\n"],
+                                            _csv_rows(columns)))
     return 0
 
 

@@ -21,15 +21,21 @@ PSD_CLAMP = 1e-10
 RESOLVE = 4.0
 
 
-def _cond_batch(values: np.ndarray) -> np.ndarray:
-    """||A^-1|| * max(1, ||A||) per matrix: collapses to 1/sigma_min for
-    small matrices, so it still flags scalar values shrinking to zero."""
+def _cond_and_norm(values: np.ndarray):
+    """cond and ||A|| per matrix from one SVD.  cond is ||A^-1|| *
+    max(1, ||A||): it collapses to 1/sigma_min for small matrices, so it
+    still flags scalar values shrinking to zero."""
     s = np.linalg.svd(values, compute_uv=False)
     smin = s.min(axis=-1)
-    smax = np.maximum(1.0, s.max(axis=-1))
+    norm = s.max(axis=-1)
+    smax = np.maximum(1.0, norm)
     with np.errstate(divide="ignore"):
-        out = np.where(smin > 0.0, smax / np.where(smin > 0.0, smin, 1.0), np.inf)
-    return out
+        cond = np.where(smin > 0.0, smax / np.where(smin > 0.0, smin, 1.0), np.inf)
+    return cond, norm
+
+
+def _cond_batch(values: np.ndarray) -> np.ndarray:
+    return _cond_and_norm(values)[0]
 
 
 def _cond(a: np.ndarray) -> float:
@@ -41,10 +47,11 @@ class CompanionWeightResult:
     """Companion weight on a grid with per-node diagnostics.
 
     w1 = Im psi1+ with psi1+ = alpha - (D0+)^-1, from the D0+ samples kept in
-    d0_plus.  A node is flagged when cond(D0+) * 2pi/M > RESOLVE (a zero of
-    det D0 too close to the circle for the grid) or when Im psi1+ has an
-    eigenvalue below -PSD_CLAMP.  Flagged nodes hold w1 = 0 and are excluded
-    from every norm and from the deficit sum.
+    d0_plus (their operator norms in d0_norm).  A node is flagged when
+    cond(D0+) * 2pi/M > RESOLVE (a zero of det D0 too close to the circle for
+    the grid) or when Im psi1+ has an eigenvalue below -PSD_CLAMP.  Flagged
+    nodes hold w1 = 0 and are excluded from every norm and from the deficit
+    sum.
     """
 
     w1: MatrixWeight
@@ -52,6 +59,7 @@ class CompanionWeightResult:
     deficit: float
     cond_profile: np.ndarray
     d0_plus: np.ndarray
+    d0_norm: np.ndarray
 
     @property
     def grid(self) -> CircleGrid:
@@ -88,14 +96,15 @@ class DeBrangesSystem:
         return self.alpha - np.linalg.inv(d)
 
     def boundary_profile(self, grid: CircleGrid):
-        """D0+ values and condition numbers on all grid nodes."""
+        """D0+ values, their condition numbers and their operator norms on
+        all grid nodes."""
         values = self.alpha + self.psi0.ring_values(1.0, grid)
-        return values, _cond_batch(values)
+        return (values, *_cond_and_norm(values))
 
     def companion_weight(self, grid: CircleGrid) -> CompanionWeightResult:
         """w1 = (1/2i)(psi1+ - psi1+*) at each node from one batched inverse
         of D0+; the flag rule is in CompanionWeightResult."""
-        d0, conds = self.boundary_profile(grid)
+        d0, conds, d0_norm = self.boundary_profile(grid)
         flags = conds * (TWO_PI / grid.size) > RESOLVE
         # flagged blocks may be exactly singular; I keeps the batch invertible
         safe = np.where(flags[:, None, None], np.eye(self.dim), d0)
@@ -115,6 +124,7 @@ class DeBrangesSystem:
             deficit=deficit,
             cond_profile=conds,
             d0_plus=d0,
+            d0_norm=d0_norm,
         )
 
     def companion_weight_reconstructed(self, theta: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean,
-                     fourier_coefficients, poisson_kernel)
+                     fourier_coefficients, next_power_of_two, poisson_kernel)
 from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
 from .hardy import (HardyOperators, RationalTestFunction, gram_norm_estimate,
                     random_test_functions, weighted_inner)
@@ -279,13 +279,12 @@ def _sqrt_psd(values: np.ndarray) -> np.ndarray:
     return psd_rebuild(vec, np.sqrt(np.clip(lam, 0.0, None)))
 
 
-def _opnorms(values: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(values, compute_uv=False)[..., 0]
-
-
-def _psd_ranks(values: np.ndarray, threshold: float) -> np.ndarray:
+def _psd_rank_and_norm(values: np.ndarray):
+    """Rank (eigenvalues above RANK_THRESHOLD) and operator norm of each
+    Hermitian matrix, from one eigvalsh."""
     lam = np.linalg.eigvalsh(values)
-    return (lam > threshold).sum(axis=-1)
+    norm = np.maximum(lam[..., -1], -lam[..., 0])
+    return (lam > RANK_THRESHOLD).sum(axis=-1), norm
 
 
 # -- individual checks (value <= tolerance means pass) ----------------------
@@ -922,11 +921,14 @@ def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
     measured deficit, against a user-supplied weight.
 
     The weight is normalized first; the fixture rows (closed form, deficit)
-    are skipped because there is nothing to compare against.
+    are skipped because there is nothing to compare against.  The grid is
+    the suite default (256) unless the weight's degree d needs more: the
+    smallest power of two >= 2(d + 1), at most 8192.
     """
     if label in FIXTURE_NAMES:
         raise ValueError("label collides with a fixture name")
-    config = SuiteConfig(seed=seed, random_weights=0,
+    grid_size = min(8192, max(256, next_power_of_two(2 * (weight.degree + 1))))
+    config = SuiteConfig(seed=seed, random_weights=0, grid_size=grid_size,
                          tolerances=dict(tolerances or {}))
     ctx = _SuiteContext(config)
     ctx.register(label, normalize(weight))
@@ -1046,18 +1048,16 @@ class NondegeneracyReport:
 
 def nondegeneracy_report(system: DeBrangesSystem,
                          result: CompanionWeightResult) -> NondegeneracyReport:
-    grid = result.grid
-    w0 = system.weight.samples_on(grid)
-    w1 = result.w1.values
-    d0_norm = _opnorms(result.d0_plus)
-    w0_norm = _opnorms(w0)
+    rank_w0, w0_norm = _psd_rank_and_norm(system.weight.samples_on(result.grid))
+    rank_w1, w1_norm = _psd_rank_and_norm(result.w1.values)
+    d0_norm = result.d0_norm
     # flagged atoms can have D0 -> 0 there; the bound is vacuous at such nodes
     bound = np.divide(w0_norm, d0_norm ** 2,
                       out=np.full_like(w0_norm, np.inf), where=d0_norm > 0)
     return NondegeneracyReport(
         usable=result.unflagged & (result.cond_profile <= COND_LIMIT),
-        rank_w0=_psd_ranks(w0, RANK_THRESHOLD),
-        rank_w1=_psd_ranks(w1, RANK_THRESHOLD),
-        norm_w1=_opnorms(w1),
+        rank_w0=rank_w0,
+        rank_w1=rank_w1,
+        norm_w1=w1_norm,
         norm_bound=bound,
     )

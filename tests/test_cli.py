@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ import pytest
 import twoweight
 from twoweight.circle import CircleGrid
 from twoweight import cli
-from twoweight.cli import main
-from twoweight.verify import parse_report
-from twoweight.weights import (MatrixWeight, fixture, random_polynomial_weight,
-                               save_weight_spec)
+from twoweight.cli import _fmt, main
+from twoweight.debranges import build_system
+from twoweight.verify import DEFAULT_SEED, koosis_pipeline, parse_report
+from twoweight.weights import (MatrixWeight, fixture, load_weight_spec, normalize,
+                               random_polynomial_weight, save_weight_spec)
 
 
 def _read(path):
@@ -306,3 +309,138 @@ def test_import_leaves_scipy_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+# -- the block CSV writer ----------------------------------------------------------
+
+def _assert_formats_exactly(values, cols=64):
+    """The block writer renders every value as format(x, ".17e") does."""
+    values = np.asarray(values, dtype=float).ravel()
+    values = np.concatenate([values, np.zeros(-values.size % cols)])
+    text = "".join(cli._csv_rows(list(values.reshape(-1, cols).T)))
+    got = text.replace("\n", ",").split(",")[:-1]
+    want = [format(x, ".17e") for x in values.tolist()]
+    if got != want:
+        bad = [(x, w, g) for x, w, g in zip(values, want, got) if w != g]
+        raise AssertionError(f"{len(got)} cells for {len(want)} values; {bad[:5]}")
+
+
+def test_block_writer_formats_random_bit_patterns_and_specials():
+    bits = np.random.default_rng(20260).integers(0, 2 ** 64, size=120_000,
+                                                 dtype=np.uint64)
+    values = bits.view(np.float64)
+    finite = values[np.isfinite(values)]
+    # the draw spans subnormals and both extreme exponents
+    assert np.abs(finite[finite != 0]).min() < np.finfo(float).tiny
+    assert np.abs(finite).max() > 1e300
+    _assert_formats_exactly(values)
+    _assert_formats_exactly([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-5, -1e-5,
+                             np.nextafter(1e18, 0.0), 1e18, 5e-324])
+
+
+def test_block_writer_formats_decade_neighbours():
+    decades = [float(f"1e{e}") for e in range(-320, 309)]
+    values = np.array([np.nextafter(t, d) for t in decades
+                       for d in (0.0, t, np.inf)])
+    # includes a double below a decade that rounds up to it at 18 digits
+    ups = [x for x in values if x > 0.0 and format(x, ".17e").startswith("1.0000")
+           and Fraction(x) < 10 ** Fraction(format(x, ".17e").split("e")[1])]
+    assert ups
+    _assert_formats_exactly(values)
+    _assert_formats_exactly(-values)
+    _assert_formats_exactly([np.nextafter(float(f"1e{e}"), d)
+                             for e in range(-6, 19) for d in (0.0, np.inf)])
+
+
+def test_block_writer_formats_exact_halfway_cases():
+    j = np.arange(1, 20_001, dtype=np.float64)
+    m = np.arange(64)
+    values = np.ldexp(j[None, :], -m[:, None])
+    # j * 2^-m * 10^p (p = 17 - exponent) is an exact 18-digit tie when
+    # m = p + 1 + (trailing zero bits of j)
+    twos = (np.arange(1, 20_001) & -np.arange(1, 20_001)).astype(float)
+    p = 17 - np.floor(np.log10(values))
+    ties = (m[:, None] == p + 1 + np.log2(twos)[None, :]) \
+        & (values >= 1e-5) & (values < 1e18)
+    assert ties.sum() > 100
+    _assert_formats_exactly(values)
+
+
+def test_block_writer_mixes_float_and_integer_columns():
+    theta = np.array([0.0, 0.5, np.pi, 1e-7])
+    counts = np.array([0, 7, 12, -3])
+    flags = np.array([False, True, False, True])
+    text = "".join(cli._csv_rows([theta, counts, flags, -theta]))
+    want = "".join(f"{_fmt(t)},{c},{int(f)},{_fmt(-t)}\n"
+                   for t, c, f in zip(theta, counts, flags))
+    assert text == want
+
+
+def _body(path):
+    return "".join(line for line in _read(path).splitlines(keepends=True)
+                   if not line.startswith("#"))
+
+
+def _old_construct_body(weight, size):
+    """The construct table rendered value by value with _fmt."""
+    system = build_system(normalize(weight))
+    result = system.companion_weight(CircleGrid(size))
+    k = system.dim
+    cols = ["theta", "flag", "cond"]
+    for i in range(k):
+        for j in range(k):
+            cols.extend([f"w1_{i}{j}_re", f"w1_{i}{j}_im"])
+    lines = [",".join(cols)]
+    w1 = result.w1.values.reshape(-1, k * k)
+    for theta, flag, cond, row in zip(result.grid.nodes, result.singular_flags,
+                                      result.cond_profile, w1):
+        parts = [v for z in row for v in (z.real, z.imag)]
+        lines.append(",".join([_fmt(theta), str(int(flag)), _fmt(cond),
+                               *map(_fmt, parts)]))
+    return "\n".join(lines) + "\n"
+
+
+def _quiet_main(argv, capfd):
+    """main() with every warning an error; asserts nothing reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert capfd.readouterr().err == ""
+    return rc
+
+
+@pytest.mark.parametrize("name", ["W_COS", "W_RANK1"])
+def test_construct_fixture_bytes_match_per_value_render(tmp_path, capfd, name):
+    out = tmp_path / "table.csv"
+    assert _quiet_main(["construct", "--fixture", name, "-M", "256", "-o", str(out)],
+                       capfd) == 0
+    body = _body(out)
+    assert body == _old_construct_body(fixture(name), 256)
+    if name == "W_COS":
+        assert ",inf," in body  # the atom at pi takes the _fmt fallback
+    else:
+        assert "0.00000000000000000e+00" in body
+
+
+def test_construct_spec_bytes_match_per_value_render(tmp_path, capfd):
+    spec = tmp_path / "k3.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(31), 3), spec)
+    out = tmp_path / "table.csv"
+    assert _quiet_main(["construct", "--weight-spec", str(spec), "-M", "1024",
+                        "-o", str(out)], capfd) == 0
+    assert _body(out) == _old_construct_body(load_weight_spec(str(spec)), 1024)
+
+
+def test_scalar_bytes_match_per_value_render(tmp_path, capfd):
+    out = tmp_path / "scalar.csv"
+    assert _quiet_main(["scalar", "--preset", "inverse-cos", "-o", str(out)],
+                       capfd) == 0
+    grid = CircleGrid(256)
+    with np.errstate(divide="ignore"):
+        v0 = 1.0 / (1.0 + np.cos(grid.nodes))
+    result = koosis_pipeline(v0, grid, seed=DEFAULT_SEED, basis_size=12)
+    rows = ["theta,v0,v1,flag"]
+    for idx, theta in enumerate(grid.nodes):
+        rows.append(f"{_fmt(theta)},{_fmt(result.v0[idx])},"
+                    f"{_fmt(result.v1[idx])},{int(result.flags[idx])}")
+    assert _body(out) == "\n".join(rows) + "\n"

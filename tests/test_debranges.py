@@ -125,7 +125,9 @@ def test_reconstruction_identity_on_random_weight():
     system = build_system(w0)
     grid = CircleGrid(128)
     result = system.companion_weight(grid)
-    d0, cond = system.boundary_profile(grid)
+    d0, cond, norm = system.boundary_profile(grid)
+    assert np.allclose(norm, np.linalg.norm(d0, 2, axis=(1, 2)), rtol=1e-14, atol=0)
+    assert np.array_equal(norm, result.d0_norm)
     usable = result.unflagged & (cond <= 1e6)
     assert usable.sum() > 100
     w0_samples = w0.samples_on(grid)

@@ -9,7 +9,8 @@ from twoweight.verify import (CHECKS, EVERY, CheckResult, Report, SuiteConfig,
                               check_names, koosis_pipeline,
                               nondegeneracy_report, parse_report, run_suite,
                               run_weight_checks)
-from twoweight.weights import fixture, random_polynomial_weight
+from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
+                               random_polynomial_weight)
 
 FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
 
@@ -132,6 +133,20 @@ def test_run_weight_checks_on_random_weight():
     assert bases == every | {"hardy.x_gram"}
 
 
+def test_run_weight_checks_sizes_the_grid_from_the_degree():
+    # 2048 samples of |q|^2, q a random polynomial of degree 300: the suite's
+    # 256-node grid cannot hold its degree-300 Herglotz series, so every grid
+    # row used to be an error entry
+    rng = np.random.default_rng(41)
+    q = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+    grid = CircleGrid(2048)
+    weight = MatrixWeight.from_samples(np.abs(np.fft.ifft(q, grid.size)) ** 2, grid)
+    assert weight.degree == 300
+    report = run_weight_checks(weight, seed=7)
+    assert "debranges.companion_psd[WEIGHT]" in report.names()
+    assert [e.name for e in report.entries if e.status == "error"] == []
+
+
 def test_run_weight_checks_rejects_fixture_label():
     with pytest.raises(ValueError, match="label"):
         run_weight_checks(fixture("W_CONST"), label="W_CONST")
@@ -175,3 +190,36 @@ def test_nondegeneracy_ranks():
         assert np.all(report.rank_w1[usable] == r1), name
         assert report.rank_mismatches == 0, name
         assert report.bound_violations == 0, name
+
+
+def test_nondegeneracy_shared_factorisations_match_direct_route():
+    """Ranks and norms from the shared SVD of D0+ and one eigvalsh per weight
+    agree with an SVD per norm and an eigvalsh per rank."""
+    weights = [fixture(name) for name in FIXTURE_NAMES]
+    weights += [random_polynomial_weight(np.random.default_rng(50 + k), k)
+                for k in (2, 3, 4)]
+    for weight in weights:
+        system = build_system(weight)
+        result = system.companion_weight(CircleGrid(256))
+        report = nondegeneracy_report(system, result)
+        w0 = weight.samples_on(result.grid)
+        w1 = result.w1.values
+
+        def opnorm(values):
+            return np.linalg.svd(values, compute_uv=False)[..., 0]
+
+        def rank(values):
+            return (np.linalg.eigvalsh(values) > 1e-8).sum(axis=-1)
+
+        d0_norm = opnorm(result.d0_plus)
+        bound = np.divide(opnorm(w0), d0_norm ** 2,
+                          out=np.full(result.grid.size, np.inf), where=d0_norm > 0)
+        keep = report.usable
+        assert np.array_equal(report.rank_w0, rank(w0))
+        assert np.array_equal(report.rank_w1, rank(w1))
+        assert np.array_equal(result.d0_norm, d0_norm)
+        assert np.allclose(report.norm_w1, opnorm(w1), rtol=1e-14, atol=0.0)
+        assert np.allclose(report.norm_bound, bound, rtol=1e-14, atol=0.0)
+        assert report.rank_mismatches == int((rank(w0) != rank(w1))[keep].sum())
+        gaps = (bound - opnorm(w1))[keep]
+        assert report.bound_violations == int((gaps > 1e-8).sum())
