@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -53,10 +54,12 @@ class CircleGrid:
 
 @dataclass(frozen=True)
 class MatrixSampleField:
-    """Per-node k x k complex matrices over a grid."""
+    """Per-node k x k complex matrices over a grid; a Hermitian field may
+    carry its eigenvalues, shape (M, k), ascending per node."""
 
     grid: CircleGrid
     values: np.ndarray
+    eigenvalues: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
@@ -70,6 +73,8 @@ class MatrixSampleField:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("all samples must be finite")
+        if self.eigenvalues is not None and self.eigenvalues.shape != values.shape[:2]:
+            raise ValueError("eigenvalues must have shape (M, k)")
         object.__setattr__(self, "values", values)
 
     @property

@@ -341,16 +341,16 @@ class HardyOperators:
         data = self.gram_data(op, basis)
         return gram_norm_estimate(data.gram1, data.gram0)
 
-    def contraction_ratios(self, functions: Sequence[RationalTestFunction],
-                           side: str = "+") -> np.ndarray:
-        """||P f||^2_{L2(w1), unflagged} / ||f||^2_{L2(w0)} per test function.
+    def contraction_ratios(self, functions: Sequence[RationalTestFunction]) -> np.ndarray:
+        """||P f||^2_{L2(w1), unflagged} / ||f||^2_{L2(w0)} per test function,
+        row 0 for P+ and row 1 for P-.
 
         The grid must resolve the poles: M >= 8/standoff for the smallest
         standoff in the corpus, else ValueError.  The corpus is stacked once
         (poles padded with zero coefficients, X applied to all poles at once)
-        and the grid is walked in blocks of NODE_BLOCK nodes, where one
+        and the grid is walked once in blocks of NODE_BLOCK nodes, where one
         product of the kernel 1/(mu - z) with [chi | D0(z) chi] gives f and
-        Xf; no grid-sized array per function is formed.
+        Xf for both sides; no grid-sized array per function is formed.
         """
         _clearance_grid(min(f.standoff for f in functions), self.grid)
         dim = self.system.dim
@@ -362,21 +362,21 @@ class HardyOperators:
         coeffs[present, :dim] = np.concatenate([f.coefficients for f in functions])
         coeffs[present, dim:] = self._rotate(poles[present], coeffs[present, :dim])
 
-        mult = self.d0_inner if side == "+" else self.d0_outer
-        sign = 0.5j if side == "+" else -0.5j
-        num = np.zeros(len(functions))
+        sides = ((self.d0_inner, 0.5j), (self.d0_outer, -0.5j))
+        num = np.zeros((len(sides), len(functions)))
         den = np.zeros(len(functions))
         for lo in range(0, self.grid.size, NODE_BLOCK):
             block = slice(lo, lo + NODE_BLOCK)
             kernel = np.reciprocal(self.grid.points[block, None] - poles[:, None, :])
             values = kernel @ coeffs
             source = [values[:, :, a] for a in range(dim)]
-            y = mult[block]
             keep = self.unflagged[block]
-            image = []
-            for a in range(dim):
-                yf = sum(y[:, a, b] * source[b] for b in range(dim))
-                image.append(np.where(keep, sign * (values[:, :, dim + a] - yf), 0.0))
-            num += _block_norm2(image, self.w1_samples[block])
+            for row, (mult, sign) in enumerate(sides):
+                y = mult[block]
+                image = []
+                for a in range(dim):
+                    yf = sum(y[:, a, b] * source[b] for b in range(dim))
+                    image.append(np.where(keep, sign * (values[:, :, dim + a] - yf), 0.0))
+                num[row] += _block_norm2(image, self.w1_samples[block])
             den += _block_norm2(source, self.w0_samples[block])
         return num / den

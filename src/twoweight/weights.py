@@ -8,7 +8,7 @@ v -> normalize(1/v), and the dyadic Muckenhoupt diagnostic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -34,11 +34,14 @@ def psd_rebuild(vec: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return hermitian_part((vec * lam[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2)))
 
 
-def _clean_psd_samples(values: np.ndarray) -> np.ndarray:
+def _clean_psd_samples(values: np.ndarray):
     """Validate Hermitian PSD samples, clamping roundoff-negative eigenvalues.
 
-    Eigenvalues in [-1e-10, 0) are set to 0; anything more negative is a hard
-    error, as is a Hermiticity defect above 1e-10.
+    Returns (samples, eigenvalues), the eigenvalues being those of the
+    returned samples.  Eigenvalues in [-1e-10, 0) are set to 0 (the whole
+    stack is rebuilt from one eigh, then its spectrum is taken again);
+    anything more negative is a hard error, as is a Hermiticity defect above
+    1e-10.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
@@ -55,15 +58,20 @@ def _clean_psd_samples(values: np.ndarray) -> np.ndarray:
         if diag.min(initial=0.0) < -PSD_CLAMP:
             raise ValueError("weight sample is not positive semidefinite")
         values[:, 0, 0] = np.maximum(diag, 0.0)
-        return values
-    lam, vec = np.linalg.eigh(values)
-    if lam.min() < -PSD_CLAMP:
+        # the eigenvalue of a 1x1 Hermitian matrix is its real part, exactly;
+        # a view, so the spectrum costs no memory of its own
+        return values, values[:, :, 0].real
+    lam = np.linalg.eigvalsh(values)
+    low = lam.min(initial=0.0)
+    if low < -PSD_CLAMP:
         raise ValueError(
-            f"weight sample is not positive semidefinite (min eigenvalue {lam.min():.3e})"
+            f"weight sample is not positive semidefinite (min eigenvalue {low:.3e})"
         )
-    if lam.min() < 0.0:
+    if low < 0.0:
+        lam, vec = np.linalg.eigh(values)
         values = psd_rebuild(vec, np.maximum(lam, 0.0))
-    return values
+        lam = np.linalg.eigvalsh(values)
+    return values, lam
 
 
 def _trimmed_coefficients(values: np.ndarray) -> np.ndarray:
@@ -86,7 +94,9 @@ class MatrixWeight:
     the Hermitian symmetry W_hat(-n) = W_hat(n)*.  Both forms compute these
     analytic coefficients once (`coefficients`), and every realization of
     the weight evaluates that one series.  schatten_p is carried with the
-    weight because normalization depends on it.
+    weight because normalization depends on it.  A sampled weight keeps the
+    eigenvalues of its stored values (ascending per node), found when they
+    were validated.
     """
 
     kind: str
@@ -95,6 +105,8 @@ class MatrixWeight:
     fourier: Optional[np.ndarray] = None
     grid: Optional[CircleGrid] = None
     values: Optional[np.ndarray] = None
+    eigenvalues: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         if self.schatten_p < 1:
@@ -118,12 +130,13 @@ class MatrixWeight:
         elif self.kind == "samples":
             if self.grid is None or self.values is None:
                 raise ValueError("sampled weight needs a grid and values")
-            cleaned = _clean_psd_samples(self.values)
+            cleaned, lam = _clean_psd_samples(self.values)
             if cleaned.shape[0] != self.grid.size:
                 raise ValueError("sample count must match the grid size")
             if cleaned.shape[1] != self.dim:
                 raise ValueError("sample dimension must match the declared dim")
             object.__setattr__(self, "values", cleaned)
+            object.__setattr__(self, "eigenvalues", lam)
         else:
             raise ValueError("weight kind must be 'fourier' or 'samples'")
 
@@ -177,16 +190,24 @@ class MatrixWeight:
         (dyadic) grid, and the band-limited interpolant with orders
         |n| < M0/2 on a finer one.
         """
+        return self._psd_samples(grid)[0]
+
+    def field_on(self, grid: CircleGrid) -> MatrixSampleField:
+        """samples_on as a field that also carries their eigenvalues."""
+        values, lam = self._psd_samples(grid)
+        return MatrixSampleField(grid, values, eigenvalues=lam)
+
+    def _psd_samples(self, grid: CircleGrid):
+        """(samples, eigenvalues) on the grid, validated by _clean_psd_samples
+        or read from the stored samples."""
         if self.kind == "samples":
             if grid.size <= self.grid.size:
-                return self.values[::self.grid.size // grid.size].copy()
+                step = self.grid.size // grid.size
+                return self.values[::step].copy(), self.eigenvalues[::step].copy()
             return _clean_psd_samples(self._realize(synthesize_series, grid))
         if grid.size < 2 * (self.degree + 1):
             raise ValueError("grid too coarse for the weight degree")
         return _clean_psd_samples(self.value_at(grid.nodes))
-
-    def field_on(self, grid: CircleGrid) -> MatrixSampleField:
-        return MatrixSampleField(grid, self.samples_on(grid))
 
     def value_at(self, theta) -> np.ndarray:
         """Pointwise value: exact series in Fourier form, band-limited
@@ -356,15 +377,17 @@ def fixtures() -> dict:
 
 def random_polynomial_weight(rng: np.random.Generator, dim: int,
                              half_degree: int = 2, schatten_p: float = 1.0) -> MatrixWeight:
-    """Random normalized weight Q(theta)* Q(theta) of degree <= 2*half_degree.
+    """Random normalized weight Q(theta)* Q(theta), Q a matrix polynomial of
+    degree half_degree, so the weight has degree half_degree.
 
-    PSD by construction; the Fourier coefficients of Q*Q are assembled
-    directly so the weight stays in exact Fourier form.
+    PSD by construction; the Fourier coefficients of Q*Q (orders
+    0..half_degree) are assembled directly so the weight stays in exact
+    Fourier form.
     """
     q = rng.standard_normal((half_degree + 1, dim, dim)) \
         + 1j * rng.standard_normal((half_degree + 1, dim, dim))
-    coeffs = np.zeros((2 * half_degree + 1, dim, dim), dtype=complex)
-    for m in range(2 * half_degree + 1):
+    coeffs = np.zeros((half_degree + 1, dim, dim), dtype=complex)
+    for m in range(half_degree + 1):
         for n in range(0, half_degree + 1 - m):
             coeffs[m] += q[n].conj().T @ q[n + m]
     w = MatrixWeight.from_fourier(coeffs, schatten_p=schatten_p)

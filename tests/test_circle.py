@@ -28,6 +28,8 @@ def test_field_requires_finite_square_samples():
         MatrixSampleField(grid, bad)
     with pytest.raises(ValueError):
         MatrixSampleField(grid, np.ones((8, 2, 2)))
+    with pytest.raises(ValueError, match="eigenvalues"):
+        MatrixSampleField(grid, np.ones((16, 2, 2)), eigenvalues=np.ones((16, 3)))
 
 
 def test_fft_roundtrip_random_field():

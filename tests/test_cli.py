@@ -444,3 +444,24 @@ def test_scalar_bytes_match_per_value_render(tmp_path, capfd):
         rows.append(f"{_fmt(theta)},{_fmt(result.v0[idx])},"
                     f"{_fmt(result.v1[idx])},{int(result.flags[idx])}")
     assert _body(out) == "\n".join(rows) + "\n"
+
+
+def test_construct_eigensolves_each_stack_once(tmp_path, monkeypatch):
+    """One eigh (the clamp of Im psi1) and two eigvalsh (validating w1 and
+    w0) over the M-node stacks; the report reuses both spectra."""
+    spec = tmp_path / "k3.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(31), 3), spec)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, _name=name, **kwargs):
+            if np.ndim(a) == 3 and np.shape(a)[0] == 1024:
+                calls[_name] += 1
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    out = tmp_path / "table.csv"
+    assert main(["construct", "--weight-spec", str(spec), "-M", "1024",
+                 "-o", str(out)]) == 0
+    assert calls == {"eigh": 1, "eigvalsh": 2}

@@ -139,3 +139,11 @@ def test_build_system_rejects_unnormalized():
     w = fixture("W_CONST").scaled(3.0)
     with pytest.raises(ValueError, match="normalization"):
         build_system(w)
+
+
+def test_companion_carries_the_spectrum_of_w1():
+    weights = [fixture(name) for name in ("W_COS", "W_RANK1")]
+    weights += [random_polynomial_weight(np.random.default_rng(60 + k), k) for k in (1, 2, 3, 4)]
+    for w in weights:
+        w1 = build_system(w).companion_weight(CircleGrid(512)).w1
+        assert np.array_equal(w1.eigenvalues, np.linalg.eigvalsh(w1.values))

@@ -114,9 +114,9 @@ def test_contraction_on_fixtures():
     for name in ("W_COS", "W_RANK1"):
         ops = _ops(name, 1024)
         funcs = random_test_functions(RNG, 25, ops.system.dim)
-        for side in ("+", "-"):
-            ratios = ops.contraction_ratios(funcs, side)
-            assert ratios.max() <= 1.0 + 1e-6, (name, side)
+        ratios = ops.contraction_ratios(funcs)
+        assert ratios.shape == (2, 25)
+        assert ratios.max() <= 1.0 + 1e-6, name
 
 
 def _reference_ratios(ops, functions, side):
@@ -141,8 +141,7 @@ def test_contraction_ratios_match_per_function_reference():
                  + random_test_functions(rng, 12, dim, max_terms=5))
         # one-term and five-term functions side by side exercise the padding
         assert {1, 5} <= {f.poles.size for f in funcs}
-        for side in ("+", "-"):
-            ratios = ops.contraction_ratios(funcs, side)
+        for side, ratios in zip(("+", "-"), ops.contraction_ratios(funcs)):
             reference = _reference_ratios(ops, funcs, side)
             assert np.abs(ratios - reference).max() <= 1e-12 * reference.max(), (dim, side)
 
@@ -151,11 +150,11 @@ def test_contraction_ratios_require_grid_clearance():
     system = build_system(fixture("W_COS"))
     f = RationalTestFunction(np.array([1.01 * np.exp(2j), 1.5]), np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError, match="grid"):
-        HardyOperators.build(system, 64).contraction_ratios([f], "+")
-    # unguarded, M = 64 read 0.3405 here: off by 0.031 from the resolved value
-    fine = HardyOperators.build(system, 4096).contraction_ratios([f], "+")
-    finer = HardyOperators.build(system, 8192).contraction_ratios([f], "+")
-    assert abs(fine[0] - finer[0]) < 1e-5
+        HardyOperators.build(system, 64).contraction_ratios([f])
+    # unguarded, M = 64 read 0.3405 for P+ here: off by 0.031 from the resolved value
+    fine = HardyOperators.build(system, 4096).contraction_ratios([f])
+    finer = HardyOperators.build(system, 8192).contraction_ratios([f])
+    assert np.abs(fine - finer).max() < 1e-5
 
 
 def test_cond_guard_covers_apply_x_and_contraction(monkeypatch):
@@ -167,7 +166,7 @@ def test_cond_guard_covers_apply_x_and_contraction(monkeypatch):
         ops.apply_x(funcs[0])
     assert str(funcs[0].poles[0]) in str(info.value)
     with pytest.raises(ValueError, match="numerically singular at pole"):
-        ops.contraction_ratios(funcs, "-")
+        ops.contraction_ratios(funcs)
 
 
 def test_contraction_ratios_stay_blockwise():
@@ -178,7 +177,7 @@ def test_contraction_ratios_stay_blockwise():
     funcs = random_test_functions(np.random.default_rng(5), 100, 2)
     tracemalloc.start()
     try:
-        ops.contraction_ratios(funcs, "+")
+        ops.contraction_ratios(funcs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

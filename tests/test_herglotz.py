@@ -136,7 +136,7 @@ def test_ring_values_match_pointwise_series():
 
 
 def test_ring_values_reject_coarse_grid():
-    w = random_polynomial_weight(RNG, 1, half_degree=8)  # degree 16
+    w = random_polynomial_weight(RNG, 1, half_degree=16)  # degree 16
     ev = HerglotzEvaluator.from_weight(w)
     with pytest.raises(ValueError, match="coarse"):
         ev.ring_values(0.5, CircleGrid(16))

@@ -193,8 +193,8 @@ def test_nondegeneracy_ranks():
 
 
 def test_nondegeneracy_shared_factorisations_match_direct_route():
-    """Ranks and norms from the shared SVD of D0+ and one eigvalsh per weight
-    agree with an SVD per norm and an eigvalsh per rank."""
+    """Ranks and norms from the shared SVD of D0+ and the spectra carried
+    from validation agree with an SVD per norm and an eigvalsh per rank."""
     weights = [fixture(name) for name in FIXTURE_NAMES]
     weights += [random_polynomial_weight(np.random.default_rng(50 + k), k)
                 for k in (2, 3, 4)]

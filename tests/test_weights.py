@@ -147,3 +147,46 @@ def test_random_polynomial_weight_is_psd_and_normalized():
         norms = np.array([schatten_norm(s, w.schatten_p) for s in samples])
         assert abs(norms.mean() - 1.0) < 1e-12
         assert w.degree <= 4
+
+
+def test_random_polynomial_weight_degree():
+    for half_degree in (1, 2, 3, 5):
+        w = random_polynomial_weight(np.random.default_rng(half_degree), 2, half_degree)
+        assert w.degree == half_degree
+        assert np.abs(w.fourier[-1]).max() > 0.0
+    # the suite's half_degree = 2 weights keep their 64-node natural grid
+    assert random_polynomial_weight(RNG, 3).natural_grid().size == 64
+
+
+def test_carried_spectra_are_the_eigenvalues_of_the_samples():
+    rng = np.random.default_rng(77)
+    for dim in (1, 2, 3, 4):
+        fourier = random_polynomial_weight(rng, dim, half_degree=3)
+        for size in (64, 512):
+            field = fourier.field_on(CircleGrid(size))
+            assert np.array_equal(field.eigenvalues, np.linalg.eigvalsh(field.values))
+        sampled = MatrixWeight.from_samples(fourier.samples_on(CircleGrid(128)))
+        assert np.array_equal(sampled.eigenvalues, np.linalg.eigvalsh(sampled.values))
+        # own grid, a coarser one (shared nodes) and a finer one (interpolant)
+        for size in (128, 64, 512):
+            field = sampled.field_on(CircleGrid(size))
+            assert np.array_equal(field.eigenvalues, np.linalg.eigvalsh(field.values))
+            assert np.array_equal(field.values, sampled.samples_on(CircleGrid(size)))
+
+
+def _with_spectrum(lam):
+    """16 samples V diag(lam) V* with one fixed random unitary V."""
+    rng = np.random.default_rng(3)
+    vec, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    sample = (vec * np.asarray(lam)) @ vec.conj().T
+    return np.tile(0.5 * (sample + sample.conj().T), (16, 1, 1))
+
+
+def test_clamp_rebuilds_roundoff_negative_samples():
+    w = MatrixWeight.from_samples(_with_spectrum([-1e-12, 0.5, 1.0]))
+    lam = np.linalg.eigvalsh(w.values)
+    assert np.array_equal(w.eigenvalues, lam)
+    assert lam.min() > -1e-15  # the -1e-12 eigenvalue was clamped to zero
+    assert np.abs(lam[:, 1:] - [0.5, 1.0]).max() < 1e-14
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        MatrixWeight.from_samples(_with_spectrum([-1e-9, 0.5, 1.0]))
