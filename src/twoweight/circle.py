@@ -17,9 +17,9 @@ def next_power_of_two(n: int) -> int:
 
 
 def check_grid_size(size: int) -> int:
-    """The command-line and suite grid range: a power of two in [64, 8192]."""
-    if size < 64 or size > 8192 or size != next_power_of_two(size):
-        raise ValueError(f"grid size must be a power of two in [64, 8192], got {size}")
+    """The command-line and suite grid range: a power of two in [64, 65536]."""
+    if size < 64 or size > 65536 or size != next_power_of_two(size):
+        raise ValueError(f"grid size must be a power of two in [64, 65536], got {size}")
     return size
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .circle import CircleGrid, check_grid_size
 from .debranges import build_system
-from .model import SPECTRAL_CAP, build_model, cross_validate, spectral_nu1
+from .model import build_model, cross_validate, spectral_nu1
 from .verify import (DEFAULT_SEED, SuiteConfig, koosis_pipeline,
                      nondegeneracy_report, parse_report, run_suite,
                      run_weight_checks)
@@ -294,19 +294,11 @@ def _cmd_model_check(args) -> int:
     sizes = sorted(set(args.modes))
     models = [build_model(weight, size) for size in sizes]
     table = cross_validate(system, MODEL_POINTS, models)
-    measures = []
-    skipped = []
-    for model in models:
-        if model.size * system.dim <= SPECTRAL_CAP:
-            measures.append((model.size, spectral_nu1(model)))
-        else:
-            skipped.append(model.size)
+    measures = [(model.size, spectral_nu1(model)) for model in models]
     params = {"modes": " ".join(str(m) for m in sizes), "dim": system.dim}
     for size, measure in measures:
         trace_total = float(np.trace(measure.total_mass()).real)
         params[f"spectral-trace[{size}]"] = _fmt(trace_total)
-    if skipped:
-        params["spectral-skipped"] = " ".join(str(m) for m in skipped)
     header = _provenance("model-check", source, digest, params)
     legend = ("# legend: xval rows a=Re z, b=Im z, value=|psi1_model-psi1|;"
               " spectral rows a=angle, b=0, value=trace mass\n")

@@ -122,11 +122,16 @@ def weighted_inner(f: RationalTestFunction, g: RationalTestFunction,
     return complex(np.einsum("mk,mkl,ml->", np.conj(gv), samples, fv) / grid.size)
 
 
-def _field_gram(fields: np.ndarray, w_samples: np.ndarray,
-                mask: Optional[np.ndarray], size: int) -> np.ndarray:
-    if mask is not None:
-        fields = np.where(mask[:, None, None], fields, 0.0)
-    gram = np.einsum("mik,mkl,mjl->ij", np.conj(fields), w_samples, fields) / size
+def _field_gram(fields: np.ndarray, w_samples: np.ndarray, mask: np.ndarray,
+                size: int) -> np.ndarray:
+    """(1/M) sum over the nodes in mask of (w f_j, f_i), for fields of shape
+    (functions, nodes, k): w f at every node by one batched product, then one
+    product over the (node, component) pairs."""
+    count = fields.shape[0]
+    left = np.where(mask[:, None], fields, 0.0)
+    wf = (w_samples @ left[..., None]).reshape(count, -1)
+    np.conj(left, out=left)
+    gram = left.reshape(count, -1) @ wf.T / size
     return 0.5 * (gram + gram.conj().T)
 
 
@@ -322,14 +327,14 @@ class HardyOperators:
                                         self.w0_samples, f.evaluate_on(self.grid)))
             else:
                 raise ValueError(f"unknown operator {op!r}")
-        return np.stack(images, axis=1)
+        return np.stack(images)
 
     def gram_data(self, op: str, basis: Sequence[RationalTestFunction]) -> GramData:
         """Source Gram in L2(w0) and image Gram in L2(w1), both restricted to
         unflagged nodes so the isometries close exactly on the grid."""
         for f in basis:
             _clearance_grid(f.standoff, self.grid)
-        sources = np.stack([f.evaluate_on(self.grid) for f in basis], axis=1)
+        sources = np.stack([f.evaluate_on(self.grid) for f in basis])
         m = self.grid.size
         gram0 = _field_gram(sources, self.w0_samples, self.unflagged, m)
         images = self._image_fields(op, basis)

@@ -7,6 +7,7 @@ cross-validates the algebraic route without sharing any code with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -17,17 +18,25 @@ from .circle import CircleGrid, TWO_PI
 from .debranges import DeBrangesSystem
 from .weights import MatrixWeight, psd_rebuild
 
-BUILD_CAP = 8192
-SPECTRAL_CAP = 4096
+BUILD_CAP = 1 << 16
+SPECTRAL_CAP = BUILD_CAP
 SNAP_ONE = 1e-12
 TRUNCATION_BAND = 0.05
 CLUSTER = 1e-9
 # sin(half), or an eigenvalue of a node's weight Q_m, at or below DEFLATE
 # couples nothing; it moves an eigenvalue or a mass by about that much
 DEFLATE = 1e-15
-# entries of one (roots x nodes) block of the secular iteration
-CHUNK = 1 << 18
 SECULAR_STEPS = 200
+# the secular sums are tabulated on a grid OVERSAMPLE times finer than the
+# nodes; from there a Taylor series in (n - M/2) x/M with |x| <= pi/2 needs
+# TAYLOR_TERMS terms for (pi/4)^p/p! to fall below 1e-17
+OVERSAMPLE = 2
+TAYLOR_TERMS = 18
+# (sin y - y cos y)/y^3 = sum_{k>=1} (-1)^(k+1) 2k y^(2k-2) / (2k+1)! in
+# powers of y^2, highest first; at |y| <= pi/4 the first term left out is
+# below 1e-23
+SIN_MINUS_Y_COS = np.array([(-1.0) ** (k + 1) * 2 * k / math.factorial(2 * k + 1)
+                            for k in range(10, 0, -1)])
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class TruncatedModel:
 
 
 def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
-    """Assemble the model on `size` nodes (a CircleGrid size), M*k <= 8192."""
+    """Assemble the model on `size` nodes (a CircleGrid size), M*k <= 65536."""
     grid = CircleGrid(size)
     k = w0.dim
     if size * k > BUILD_CAP:
@@ -204,6 +213,16 @@ class _Secular:
     block of V sqrt(sin half).  H increases on every arc between coupled
     nodes (Q_m != 0), so each eigenvalue branch of H has at most one zero
     there, and e^{i omega} is an eigenvalue of U1 exactly where H is singular.
+
+    The nodes are equispaced, so for each real sequence c (the r^2 real
+    parameters of the Hermitian Q_m)
+        sum_m c_m cot((theta_m - omega)/2) = -Re P(omega) / sin(M omega/2),
+        P(omega) = sum_{n<M} c^_n e^{i(n - M/2) omega},  c^ = FFT(c),
+    and P is summed at omega as a Taylor series from the nearest point of a
+    grid OVERSAMPLE times finer than the nodes (`_taylor_table`).  Where that
+    point is a node, the series is centred on the node with the node's own
+    term taken out exactly, and that term is added back from the root's
+    offset to the node.
     """
 
     def __init__(self, model: TruncatedModel):
@@ -223,55 +242,135 @@ class _Secular:
         self.partial = np.flatnonzero((self.ranks > 0) & (self.ranks < r))
         q[self.partial] = psd_rebuild(vec[self.partial],
                                       np.where(strong[self.partial], lam[self.partial], 0.0))
+        q[self.ranks == 0] = 0.0
         self.null = [vec[m][:, ~strong[m]] for m in self.partial]
         self.size, self.r = size, r
         self.cols = np.flatnonzero(self.ranks > 0)
-        qc = q[self.cols].reshape(self.cols.size, r * r)
-        self.weights = np.concatenate([qc.real, qc.imag], axis=1)
         self.q = q
-        self.traces = np.einsum("mii->m", q[self.cols]).real
         self.diag = np.cos(model.half[coupled])
+        self._upper = np.triu_indices(r)
+        self._off = self._upper[0] < self._upper[1]
+        upper = q[:, self._upper[0], self._upper[1]]
+        self.table = _taylor_table(np.concatenate([upper.real, upper[:, self._off].imag],
+                                                  axis=1))
+        # rounding scale sum_m tr Q_m |cot|: the nearest node and its two
+        # neighbours exactly, the other nodes as seen from the nearest node
+        self.traces = np.einsum("mii->m", q).real
+        kernel = np.abs(1.0 / np.tan((np.pi / size) * np.arange(2, size - 1)))
+        kernel = np.concatenate([[0.0, 0.0], kernel, [0.0]])
+        self.far_scale = np.fft.irfft(np.fft.rfft(self.traces) * np.fft.rfft(kernel), size) \
+            + self.diag.sum()
 
     def _matrices(self, flat: np.ndarray) -> np.ndarray:
-        rr = self.r * self.r
-        return (flat[:, :rr] + 1j * flat[:, rr:]).reshape(-1, self.r, self.r)
+        """The Hermitian r x r matrices with the real parameters `flat`."""
+        rows, cols = self._upper
+        z = flat[:, :rows.size].astype(complex)
+        z[:, self._off] += 1j * flat[:, rows.size:]
+        out = np.empty((flat.shape[0], self.r, self.r), dtype=complex)
+        out[:, rows, cols] = z
+        out[:, cols, rows] = z.conj()
+        return out
 
-    def half_angles(self, origin: np.ndarray) -> np.ndarray:
-        """(theta_m - theta_origin)/2 over the coupled nodes, reduced to
-        [-pi/2, pi/2) by integer node offsets (the grid size is a power of
-        two): nodes on both sides of the origin keep full relative precision."""
-        half = self.size // 2
-        steps = ((self.cols[None, :] - origin[:, None] + half) & (self.size - 1)) - half
-        return (np.pi / self.size) * steps
-
-    def _value(self, cot: np.ndarray) -> np.ndarray:
-        return self._matrices(cot @ self.weights) + np.diag(self.diag)
-
-    def evaluate(self, base: np.ndarray, origin: np.ndarray, t: np.ndarray):
+    def evaluate(self, origin: np.ndarray, t: np.ndarray):
         """H, the far slope sum_{m != origin} Q_m csc^2((theta_m - omega)/2)
         and the rounding scale sum_m |Q_m cot| of H at omega = theta_origin + t
-        (t != 0), with `base` = half_angles(origin)."""
-        cot = base - 0.5 * t[:, None]
-        np.tan(cot, out=cot)
-        np.divide(1.0, cot, out=cot)
-        h = self._value(cot)
-        scale = np.abs(cot) @ self.traces + self.diag.sum()
-        np.multiply(cot, cot, out=cot)
-        cot += 1.0
-        cot[np.arange(origin.size), np.searchsorted(self.cols, origin)] = 0.0
-        return h, self._matrices(cot @ self.weights), scale
+        (t != 0), from t alone: the root keeps its full relative precision
+        next to its origin."""
+        size, over = self.size, OVERSAMPLE
+        fine = TWO_PI / (over * size)
+        shift = np.rint(t / fine).astype(int)
+        g = (over * origin + shift) % (over * size)
+        x = size * (t - shift * fine)
+        node = g % over == 0
+        powers = np.cumprod(np.concatenate(
+            [np.ones((x.size, 1)), x[:, None] / np.arange(1, TAYLOR_TERMS)], axis=1), axis=1)
+        coef = np.zeros((x.size, 2, TAYLOR_TERMS + 1))
+        coef[:, 0, :-1] = powers
+        coef[:, 1, 1:] = powers
+        sums = coef @ self.table[g]
+        # F = a S and dF/domega = M (a S' + a' S) with S the row's series at x
+        # and a = -1/sin(M omega/2) at a fine point, -x/sin(x/2) at a node;
+        # e = M a', with y = x/2
+        angle = (np.pi / over) * (g % (2 * over)) + 0.5 * x
+        y = 0.5 * x
+        sinc = np.sinc(y / np.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(node, -2.0 / sinc, -1.0 / np.sin(angle))
+            e = np.where(node, -size * y * np.polyval(SIN_MINUS_Y_COS, y * y) / sinc ** 2,
+                         0.5 * size * np.cos(angle) * a * a)
+        h = self._matrices(a[:, None] * sums[:, 0]) + np.diag(self.diag)
+        far = self._matrices(2.0 * ((size * a)[:, None] * sums[:, 1] + e[:, None] * sums[:, 0]))
+        # the centre node's own term, from the offset to it (t at the origin)
+        j = g // over
+        at_origin = node & (j == origin)
+        own = np.flatnonzero(node & (self.ranks[j] > 0))
+        tau = np.where(at_origin, t, x / size)[own]
+        h[own] -= self.q[j[own]] / np.tan(0.5 * tau)[:, None, None]
+        far[own] += np.where(at_origin[own], 0.0, 1.0 / np.sin(0.5 * tau) ** 2)[:, None, None] \
+            * self.q[j[own]]
+        off = ~at_origin
+        far[off] -= self.q[origin[off]] / (np.sin(0.5 * t[off]) ** 2)[:, None, None]
+
+        nearest = np.rint(t * (size / TWO_PI)).astype(int)
+        offset = t - nearest * (TWO_PI / size)
+        nearest = (origin + nearest) % size
+        steps = np.arange(-1, 2)
+        near = self.traces[(nearest[:, None] + steps) % size]
+        with np.errstate(divide="ignore"):
+            cot = np.abs(1.0 / np.tan((np.pi / size) * steps - 0.5 * offset[:, None]))
+        cot[near == 0.0] = 0.0
+        scale = (near * cot).sum(axis=1) + self.far_scale[nearest]
+        return h, far, scale
 
     def inertia_at_nodes(self) -> np.ndarray:
         """Negative eigenvalues of H just left of each coupled node: those of
         H without the node's own term, compressed to its null space."""
         below = np.zeros(self.size, dtype=int)
-        for m, z in zip(self.partial, self.null):
-            x = self.half_angles(np.array([m]))
-            with np.errstate(divide="ignore"):
-                cot = np.where(self.cols == m, 0.0, 1.0 / np.tan(x))
-            h = z.conj().T @ self._value(cot)[0] @ z
-            below[m] = int((np.linalg.eigvalsh(h) < 0.0).sum())
+        m = self.partial
+        if m.size:
+            # the node-centred series at offset 0: x / sin(x/2) -> 2
+            h = self._matrices(-2.0 * self.table[OVERSAMPLE * m, 0]) + np.diag(self.diag)
+            widths = np.array([z.shape[1] for z in self.null])
+            for width in np.unique(widths):
+                pick = np.flatnonzero(widths == width)
+                z = np.stack([self.null[i] for i in pick])
+                lam = np.linalg.eigvalsh(np.conj(np.swapaxes(z, 1, 2)) @ h[pick] @ z)
+                below[m[pick]] = (lam < 0.0).sum(axis=1)
         return below[self.cols]
+
+
+def _taylor_table(seq: np.ndarray) -> np.ndarray:
+    """Taylor tables of the secular sums of the columns c of seq, shape
+    (OVERSAMPLE M, TAYLOR_TERMS + 1, columns), from one real FFT per column
+    and one inverse real FFT per column and order.
+
+    With w_n = (n - M/2)/M, row g holds T_p(g) = Re sum_n (i w_n)^p c^_n
+    e^{i(n - M/2) theta_g} at theta_g = 2 pi g / (OVERSAMPLE M), so that
+    Re P(theta_g + x/M) = sum_p x^p/p! T_p(g).  The row of node j
+    (g = OVERSAMPLE j) holds B_{p+1}/(p+1) instead, with B_p = (-1)^j T_p less
+    the node's own share c_j sum_n Re (i w_n)^p (B_0 = 0): its series is
+    (-1)^j Re P without node j, divided by x.  Either kind of row gives its
+    value and its x-derivative with the same coefficients x^p/p!."""
+    size, cols = seq.shape
+    fine = OVERSAMPLE * size
+    orders = np.arange(TAYLOR_TERMS + 2)
+    # c is real, so T_p is the inverse real FFT of the frequencies
+    # n - M/2 = 0 .. M/2 - 1 of (i w)^p c^, with half of the unpaired n = 0
+    # at frequency M/2
+    spectrum = np.fft.rfft(seq, axis=0)
+    iw = (1j / size) * np.arange(size // 2 + 1)
+    half = np.zeros((fine // 2 + 1, orders.size, cols), dtype=complex)
+    half[:size // 2 + 1] = (iw[:, None] ** orders)[:, :, None] * spectrum[::-1].conj()[:, None]
+    half[size // 2] *= 0.5
+    table = np.fft.irfft(half, fine, axis=0) * fine
+    own = ((1j / size) * (np.arange(size) - size // 2))[:, None] ** orders
+    own = own.sum(axis=0).real
+    parity = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)[:, None, None]
+    at_nodes = parity * table[::OVERSAMPLE, 1:] - own[1:, None] * seq[:, None, :]
+    table[::OVERSAMPLE, :-1] = at_nodes / orders[1:, None]
+    return table[:, :-1]
+
+
 
 
 def _quadratic_form(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -308,8 +407,8 @@ def _secular_roots(sec: _Secular, left: np.ndarray, steps: np.ndarray,
     vec = np.empty((n, sec.r), dtype=complex)
     norm = np.empty(n)
 
-    def evaluate(idx, base, pole, t):
-        h, far, scale = sec.evaluate(base, pole, t)
+    def evaluate(idx, pole, t):
+        h, far, scale = sec.evaluate(pole, t)
         lam, x = np.linalg.eigh(h)
         pick = np.arange(idx.size)
         lam, x = lam[pick, branch[idx]], x[pick, :, branch[idx]]
@@ -318,13 +417,12 @@ def _secular_roots(sec: _Secular, left: np.ndarray, steps: np.ndarray,
         return lam, x, near, far, scale
 
     every = np.arange(n)
-    lam, _, near, far, _ = evaluate(every, sec.half_angles(left), left, 0.5 * delta)
+    lam, _, near, far, _ = evaluate(every, left, 0.5 * delta)
     # the branch's sign at mid-arc picks the nearer pole, which becomes the
     # origin; phi = +-lambda increases with the distance s from it
     from_left = lam >= 0.0
     sign = np.where(from_left, 1.0, -1.0)
     origin = np.where(from_left, left, (left + steps) & (sec.size - 1))
-    base = sec.half_angles(origin)
     lo, hi = np.zeros(n), 0.5 * delta
     with np.errstate(all="ignore"):
         s = _model_distance(lam, near, 0.5 * far, 0.5 * delta, delta)
@@ -336,8 +434,7 @@ def _secular_roots(sec: _Secular, left: np.ndarray, steps: np.ndarray,
         if idx.size == 0:
             break
         si = s[idx]
-        lam, x, near, far, scale = evaluate(idx, base if idx.size == n else base[idx],
-                                            origin[idx], sign[idx] * si)
+        lam, x, near, far, scale = evaluate(idx, origin[idx], sign[idx] * si)
         phi = sign[idx] * lam
         lo[idx] = np.where(phi < 0.0, si, lo[idx])
         hi[idx] = np.where(phi > 0.0, si, hi[idx])
@@ -383,15 +480,10 @@ def spectral_nu1(model: TruncatedModel) -> SpectralMeasure:
     steps[steps == 0] = size
     left, steps = cols[arcs], steps[arcs]
 
-    angles = np.empty(arcs.size)
-    masses = np.empty((arcs.size, k, k), dtype=complex)
-    block = CHUNK // max(cols.size, 1)
-    for start in range(0, arcs.size, block):
-        part = slice(start, start + block)
-        origin, t, vec, norm = _secular_roots(sec, left[part], steps[part], branch[part])
-        angles[part] = np.mod(model.nodes[origin] + t, TWO_PI)
-        amp = vec @ sec.amplitudes.T
-        masses[part] = amp[:, :, None] * amp.conj()[:, None, :] / norm[:, None, None]
+    origin, t, vec, norm = _secular_roots(sec, left, steps, branch)
+    angles = np.mod(model.nodes[origin] + t, TWO_PI)
+    amp = vec @ sec.amplitudes.T
+    masses = amp[:, :, None] * amp.conj()[:, None, :] / norm[:, None, None]
     still = np.repeat(np.arange(size), k - sec.ranks)
     angles = np.concatenate([angles, model.nodes[still]])
     masses = np.concatenate([masses, np.zeros((still.size, k, k), dtype=complex)])

@@ -507,7 +507,8 @@ def _check_model_unitarity(fx, ctx, rng):
     mdl = ctx.model(fx, 128)
     eye = np.eye(mdl.u1.shape[0])
     drift0 = np.abs(np.abs(mdl.phases) - 1.0).max()
-    drift1 = np.linalg.norm(mdl.u1.conj().T @ mdl.u1 - eye, 2)
+    # U1* U1 - I is Hermitian: its 2-norm is its largest |eigenvalue|
+    drift1 = np.abs(np.linalg.eigvalsh(mdl.u1.conj().T @ mdl.u1 - eye)).max()
     return float(max(drift0, drift1))
 
 

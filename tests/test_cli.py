@@ -227,10 +227,22 @@ def test_model_check_builds_one_model_per_size(tmp_path, monkeypatch):
     assert sorted(built) == [64, 128]
 
 
+def test_model_check_spectral_rows_above_old_cap(tmp_path):
+    # every size gets its spectral rows; there is no skipped-size header
+    out = tmp_path / "model.csv"
+    rc = main(["model-check", "--fixture", "W_COS", "--modes", "8192", "-o", str(out)])
+    assert rc == 0
+    header = _header_lines(out)
+    assert any("spectral-trace[8192]" in line for line in header)
+    assert not any("spectral-skipped" in line for line in header)
+    rows = [line for line in _read(out).splitlines() if line.startswith("spectral,")]
+    assert len(rows) == 8192
+
+
 def test_model_check_cap_exits_two(tmp_path):
     out = tmp_path / "model.csv"
     rc = main(["model-check", "--fixture", "W_DIAG",
-               "--modes", "8192", "-o", str(out)])
+               "--modes", "65536", "-o", str(out)])
     assert rc == 2
     assert not out.exists()
 
@@ -239,7 +251,7 @@ def test_model_check_modes_out_of_range(tmp_path):
     out = tmp_path / "model.csv"
     with pytest.raises(SystemExit) as exc:
         main(["model-check", "--fixture", "W_CONST",
-              "--modes", "16384", "-o", str(out)])
+              "--modes", "131072", "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 

@@ -5,8 +5,9 @@ import pytest
 
 from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
-from twoweight.model import (CLUSTER, build_model, cross_validate, intertwine_residual,
-                             model_identity_residual, psi_direct, spectral_nu1)
+from twoweight.model import (CLUSTER, _Secular, build_model, cross_validate,
+                             intertwine_residual, model_identity_residual, psi_direct,
+                             spectral_nu1)
 from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
 
 RNG = np.random.default_rng(321)
@@ -17,9 +18,9 @@ def test_build_model_validation():
     with pytest.raises(ValueError, match="power of two"):
         build_model(w, 100)
     with pytest.raises(ValueError, match="cap"):
-        build_model(w, 16384)
+        build_model(w, 131072)
     with pytest.raises(ValueError, match="cap"):
-        build_model(fixture("W_DIAG"), 8192)  # M*k = 16384
+        build_model(fixture("W_DIAG"), 65536)  # M*k = 131072
 
 
 def test_model_unitarity():
@@ -99,8 +100,8 @@ def test_spectral_measure_total_mass_and_psd():
 
 def test_spectral_cap():
     # stub with an oversized M*k; the cap guard fires before any work
-    from twoweight.model import TruncatedModel
-    n = 4097
+    from twoweight.model import SPECTRAL_CAP, TruncatedModel
+    n = SPECTRAL_CAP + 1
     stub = TruncatedModel(size=n, dim=1, nodes=np.zeros(n),
                           phases=np.ones(n, dtype=complex),
                           g=np.zeros((1, n), dtype=complex),
@@ -188,6 +189,88 @@ def test_spectral_matches_dense_eig():
                 total += amp @ amp.conj().T
                 assert np.abs(cum[end] - total).max() < 1e-12, (label, size, end)
                 start = end + 1
+
+
+# pi to the precision of np.longdouble (80-bit on x86; plain double elsewhere)
+PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _direct_secular(sec, origin, t):
+    """The secular sums node by node in extended precision: H, the far slope
+    sum_{m != origin} Q_m csc^2 and sum_m tr Q_m |cot|, at theta_origin + t,
+    from the exact integer node offsets to the origin."""
+    size = sec.size
+    steps = ((np.arange(size)[None, :] - origin[:, None] + size // 2) % size) - size // 2
+    cot = 1.0 / np.tan((PI_LONG / size) * steps - t.astype(np.longdouble)[:, None] / 2)
+    q = sec.q.astype(np.clongdouble)
+    h = np.einsum("nm,mij->nij", cot, q) + np.diag(sec.diag)
+    csc2 = cot * cot + 1.0
+    csc2[np.arange(origin.size), origin] = 0.0
+    far = np.einsum("nm,mij->nij", csc2, q)
+    return h, far, np.abs(cot) @ np.einsum("mii->m", sec.q).real
+
+
+def _secular_points(sec, rng, count):
+    # origins at coupled nodes, offsets from 1e-13 of the way to the middle
+    # of the arc on either side up to the middle itself
+    cols, size = sec.cols, sec.size
+    right = (np.roll(cols, -1) - cols) % size
+    right[right == 0] = size
+    left = np.roll(right, 1)
+    pick = rng.integers(0, cols.size, count)
+    side = rng.choice([-1.0, 1.0], count)
+    reach = np.where(side > 0, right[pick], left[pick]) * (np.pi / size)
+    t = side * reach * 10.0 ** rng.uniform(-13.0, 0.0, count)
+    t[:4] = side[:4] * reach[:4] * 1e-13
+    return cols[pick], t
+
+
+def test_secular_fft_matches_direct_sum():
+    # H to 64 eps of sum_m |Q_m cot|, and the far slope, a derivative in
+    # omega, to 64 eps of M times that, against the node-by-node sum; at
+    # W_COS's zero node (pi, which couples nothing) and at its neighbours too
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    cases = [("W_COS", fixture("W_COS"), (64, 1024)),
+             ("k2", random_polynomial_weight(rng, 2), (64, 256)),
+             ("k3", random_polynomial_weight(rng, 3), (64, 256)),
+             ("partial", _partial_rank_weight(64), (64,))]
+    for label, w, sizes in cases:
+        for size in sizes:
+            sec = _Secular(build_model(w, size))
+            origin, t = _secular_points(sec, rng, 300)
+            if label == "W_COS":
+                # from the node left of pi to within 1e-13 of pi, and just past
+                # it, where the atom's root sits within roundoff of pi
+                zero = np.array([1e-13, 0.5, 1.0 - 1e-13, 1.0 - 1e-7, 1.0, 1.0 + 1e-9])
+                origin = np.append(origin, np.full(zero.size, size // 2 - 1))
+                t = np.append(t, zero * (2.0 * np.pi / size))
+            h, far, scale = sec.evaluate(origin, t)
+            h_ref, far_ref, scale_ref = _direct_secular(sec, origin, t)
+            bound = 64.0 * eps * scale_ref
+            assert np.all(np.abs(h - h_ref).max(axis=(1, 2)) <= bound), (label, size)
+            assert np.all(np.abs(far - far_ref).max(axis=(1, 2)) <= size * bound), (label, size)
+            # the rounding scale is an estimate (the far nodes as seen from
+            # the nearest node), good to a few per cent
+            ratio = scale / (scale_ref + sec.diag.sum())
+            assert np.all((ratio > 0.9) & (ratio < 1.1)), (label, size)
+
+
+def test_spectral_at_m16384_in_small_memory():
+    # above the old cap of M*k = 4096: total mass, the atom at pi, and no
+    # array that grows like M^2
+    model = build_model(fixture("W_COS"), 16384)
+    tracemalloc.start()
+    try:
+        measure = spectral_nu1(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert measure.angles.size == 16384
+    assert np.abs(measure.total_mass() - model.gg_star).max() < 1e-10
+    window = 10.0 * (2.0 * np.pi / 16384)
+    assert abs(measure.mass_near(np.pi, window) - 0.5) < 0.05
 
 
 def test_deflated_rows_carry_no_mass():
