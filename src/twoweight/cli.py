@@ -142,10 +142,10 @@ def _text_cells(texts) -> np.ndarray:
 def _csv_rows(columns):
     """Yield the CSV text of equal-length 1-D columns, _BLOCK_ROWS rows at a
     time: float columns as _fmt renders them, integer and bool columns as
-    %d.  Byte for byte the ",".join of the per-value strings, one line per
-    row."""
+    %d, fixed-text (bytes) columns as they are.  Byte for byte the ",".join
+    of the per-value strings, one line per row."""
     floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
-    ints = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
+    others = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
     rows = len(columns[0])
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(rows, start + _BLOCK_ROWS)
@@ -153,9 +153,11 @@ def _csv_rows(columns):
         block = np.stack([columns[j][start:stop] for j in floats], axis=1)
         cells[:, floats, :-1] = _float_cells(block).reshape(
             stop - start, len(floats), _CELL - 1)
-        for j in ints:
-            values = columns[j][start:stop].astype(np.int64).tolist()
-            cells[:, j, :-1] = _text_cells(["%d" % v for v in values])
+        for j in others:
+            values = columns[j][start:stop]
+            if values.dtype.kind != "S":
+                values = ["%d" % v for v in values.astype(np.int64).tolist()]
+            cells[:, j, :-1] = _text_cells(values)
         cells[:, :-1, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
         flat = cells.reshape(-1)
@@ -294,21 +296,27 @@ def _cmd_model_check(args) -> int:
     sizes = sorted(set(args.modes))
     models = [build_model(weight, size) for size in sizes]
     table = cross_validate(system, MODEL_POINTS, models)
-    measures = [(model.size, spectral_nu1(model)) for model in models]
+    measures = [spectral_nu1(model) for model in models]
     params = {"modes": " ".join(str(m) for m in sizes), "dim": system.dim}
-    for size, measure in measures:
+    for size, measure in zip(sizes, measures):
         trace_total = float(np.trace(measure.total_mass()).real)
         params[f"spectral-trace[{size}]"] = _fmt(trace_total)
     header = _provenance("model-check", source, digest, params)
     legend = ("# legend: xval rows a=Re z, b=Im z, value=|psi1_model-psi1|;"
               " spectral rows a=angle, b=0, value=trace mass\n")
-    rows = ["kind,size,a,b,value"]
-    for z, size, err in table.rows():
-        rows.append(f"xval,{size},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(err)}")
-    for size, measure in measures:
-        for omega, mass in measure.rows():
-            rows.append(f"spectral,{size},{_fmt(omega)},{_fmt(0.0)},{_fmt(mass)}")
-    _atomic_write(args.out, [header, legend, "\n".join(rows), "\n"])
+    # xval rows by probe point, then by size; then spectral rows by size
+    xval = np.repeat(table.zs, len(sizes))
+    counts = [measure.angles.size for measure in measures]
+    columns = [
+        np.repeat([b"xval", b"spectral"], [xval.size, sum(counts)]),
+        np.concatenate([np.tile(sizes, table.zs.size), np.repeat(sizes, counts)]),
+        np.concatenate([xval.real, *(measure.angles for measure in measures)]),
+        np.concatenate([xval.imag, np.zeros(sum(counts))]),
+        np.concatenate([table.errors.ravel(),
+                        *(measure.trace_masses() for measure in measures)]),
+    ]
+    _atomic_write(args.out, itertools.chain([header, legend, "kind,size,a,b,value\n"],
+                                            _csv_rows(columns)))
     return 0
 
 
@@ -319,9 +327,9 @@ def _scalar_input(args):
         with open(args.samples, "rb") as fh:
             blob = fh.read()
         data = json.loads(blob.decode())
-        v0 = np.asarray(data, dtype=float)
-        if v0.ndim != 1:
+        if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
             raise ValueError("samples file must hold a flat list of values")
+        v0 = np.asarray(data, dtype=float)
         grid = CircleGrid(check_grid_size(v0.size))
         return v0, grid, args.samples, hashlib.sha256(blob).hexdigest()
     grid = CircleGrid(args.grid_size)

@@ -38,10 +38,6 @@ def _cond_batch(values: np.ndarray) -> np.ndarray:
     return _cond_and_norm(values)[0]
 
 
-def _cond(a: np.ndarray) -> float:
-    return float(_cond_batch(a[None])[0])
-
-
 @dataclass(frozen=True)
 class CompanionWeightResult:
     """Companion weight on a grid with per-node diagnostics.
@@ -88,11 +84,13 @@ class DeBrangesSystem:
         """alpha + psi0 at a point, or at each point of an array of points."""
         return self.alpha + self.psi0.psi(z)
 
-    def psi1(self, z: complex) -> np.ndarray:
+    def psi1(self, z) -> np.ndarray:
+        """alpha - D0^-1 at a point, or at each point of an array of points,
+        behind one condition guard."""
         d = self.d0(z)
-        cond = _cond(d)
-        if cond > COND_CUTOFF:
-            raise ValueError(f"D0 numerically singular at z = {z}")
+        singular = np.flatnonzero(_cond_batch(d) > COND_CUTOFF)
+        if singular.size:
+            raise ValueError(f"D0 numerically singular at z = {np.ravel(z)[singular[0]]}")
         return self.alpha - np.linalg.inv(d)
 
     def boundary_profile(self, grid: CircleGrid):
@@ -126,15 +124,6 @@ class DeBrangesSystem:
             d0_plus=d0,
             d0_norm=d0_norm,
         )
-
-    def companion_weight_reconstructed(self, theta: float) -> np.ndarray:
-        """(D0+)^-* w0 (D0+)^-1 at one angle: the independent route to w1."""
-        value = self.alpha + self.psi0.boundary_profile(np.asarray(theta, float))
-        if _cond(value) > COND_CUTOFF:
-            raise ValueError(f"D0 boundary numerically singular at theta = {theta}")
-        inv = np.linalg.inv(value)
-        w0v = self.weight.value_at(theta)
-        return inv.conj().T @ w0v @ inv
 
 
 def build_system(w0: MatrixWeight) -> DeBrangesSystem:

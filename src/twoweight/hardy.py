@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .circle import CircleGrid, MatrixSampleField, TWO_PI, next_power_of_two
+from .circle import CircleGrid, MatrixSampleField, TWO_PI
 from .debranges import COND_CUTOFF, DeBrangesSystem, _cond_batch
 from .herglotz import pair_kernel_quadrature
 from .weights import MatrixWeight
@@ -95,27 +95,18 @@ def random_test_functions(rng: np.random.Generator, count: int, dim: int,
     return out
 
 
-def _clearance_grid(standoff: float, base: Optional[CircleGrid]) -> CircleGrid:
-    need = int(np.ceil(8.0 / standoff))
-    if base is not None:
-        if base.size < need:
-            raise ValueError("pole too close to the circle for this grid")
-        return base
-    return CircleGrid(max(64, next_power_of_two(need)))
+def _check_clearance(standoff: float, grid: CircleGrid) -> None:
+    if grid.size < int(np.ceil(8.0 / standoff)):
+        raise ValueError("pole too close to the circle for this grid")
 
 
 def weighted_inner(f: RationalTestFunction, g: RationalTestFunction,
-                   w: MatrixWeight, grid: Optional[CircleGrid] = None) -> complex:
+                   w: MatrixWeight, grid: CircleGrid) -> complex:
     """(1/M) sum_m (w(theta_m) f(e^{i theta_m}), g(e^{i theta_m})).
 
     The grid must resolve the poles: M >= 8/standoff.
     """
-    standoff = min(f.standoff, g.standoff)
-    if grid is None:
-        grid = _clearance_grid(standoff, None)
-        grid = CircleGrid(max(grid.size, w.natural_grid().size))
-    else:
-        _clearance_grid(standoff, grid)
+    _check_clearance(min(f.standoff, g.standoff), grid)
     samples = w.samples_on(grid)
     fv = f.evaluate_on(grid)
     gv = g.evaluate_on(grid)
@@ -320,9 +311,7 @@ class HardyOperators:
                 images.append(self.apply_y(f, op[1]))
             elif op in ("P+", "P-"):
                 images.append(self.project(f, op[1]))
-            elif op == "H":
-                images.append(self.hilbert(f))
-            elif op in ("mult", "mult-by-w0"):
+            elif op == "mult":
                 images.append(np.einsum("mkl,ml->mk",
                                         self.w0_samples, f.evaluate_on(self.grid)))
             else:
@@ -333,7 +322,7 @@ class HardyOperators:
         """Source Gram in L2(w0) and image Gram in L2(w1), both restricted to
         unflagged nodes so the isometries close exactly on the grid."""
         for f in basis:
-            _clearance_grid(f.standoff, self.grid)
+            _check_clearance(f.standoff, self.grid)
         sources = np.stack([f.evaluate_on(self.grid) for f in basis])
         m = self.grid.size
         gram0 = _field_gram(sources, self.w0_samples, self.unflagged, m)
@@ -357,7 +346,7 @@ class HardyOperators:
         product of the kernel 1/(mu - z) with [chi | D0(z) chi] gives f and
         Xf for both sides; no grid-sized array per function is formed.
         """
-        _clearance_grid(min(f.standoff for f in functions), self.grid)
+        _check_clearance(min(f.standoff for f in functions), self.grid)
         dim = self.system.dim
         counts = np.array([f.poles.size for f in functions])
         present = np.arange(counts.max()) < counts[:, None]

@@ -1,10 +1,10 @@
 """Herglotz (Cauchy) transforms of matrix weights: interior values, radial
-boundary limits, and the jump recovering the weight."""
+boundary limits by extrapolation, and exact boundary profiles."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -18,62 +18,31 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-@dataclass(frozen=True)
-class RadialLimit:
-    """Extrapolated radial limit with a convergence estimate.
-
-    converged is False when successive ladder differences grow, which tags
-    a possible singular-support angle rather than raising.
-    """
-
-    value: np.ndarray
-    estimate: float
-    converged: bool
-
-
-def neville_extrapolate(vals: np.ndarray):
+def neville_extrapolate(vals: np.ndarray) -> np.ndarray:
     """Iterated Richardson elimination for samples at step sizes h0 * 2^-j.
 
     vals has the ladder along axis 0; trailing axes are carried through.
-    Returns (limit, last_correction); the correction is the change made by
-    the final elimination step and serves as the convergence estimate.
     """
     table = np.asarray(vals, dtype=complex)
-    rungs = table.shape[0]
-    if rungs == 1:
-        return table[0], np.full_like(table[0], np.inf)
-    prev_best = table[-1]
-    for level in range(1, rungs):
+    for level in range(1, table.shape[0]):
         factor = 2.0 ** level
         table = table[1:] + (table[1:] - table[:-1]) / (factor - 1.0)
-        if table.shape[0] > 1:
-            prev_best = table[-1]
-    value = table[0]
-    return value, value - prev_best
+    return table[0]
 
 
-def radial_limit(fn: Callable[[float], np.ndarray], side: str = "inner",
-                 j_lo: int = 6, j_hi: int = 14,
-                 tail: Optional[int] = None) -> RadialLimit:
+def radial_limit(fn: Callable[[np.ndarray], np.ndarray], side: str = "inner",
+                 j_lo: int = 6, j_hi: int = 14) -> np.ndarray:
     """Radial limit of fn(r) as r -> 1 from inside (r = 1 - 2^-j) or outside.
 
-    Richardson extrapolation on the geometric ladder j = j_lo..j_hi; if
-    `tail` is given only the last `tail` rungs enter the extrapolation while
-    the full ladder still feeds divergence detection.
+    fn takes the array of radii of the ladder j = j_lo..j_hi and returns
+    its values stacked along axis 0; Richardson extrapolation on that
+    geometric ladder gives the limit.
     """
     if side not in ("inner", "outer"):
         raise ValueError("side must be 'inner' or 'outer'")
     sign = -1.0 if side == "inner" else 1.0
-    js = np.arange(j_lo, j_hi + 1)
-    radii = 1.0 + sign * 2.0 ** (-js.astype(float))
-    vals = np.stack([np.asarray(fn(r), dtype=complex) for r in radii])
-    flat = vals.reshape(vals.shape[0], -1)
-    diffs = np.abs(flat[1:] - flat[:-1]).max(axis=1)
-    diverged = bool(diffs.size and diffs[-1] > 1e-12 and diffs[-1] > diffs[0])
-    used = vals if tail is None else vals[-tail:]
-    value, correction = neville_extrapolate(used)
-    estimate = float(np.abs(correction).max())
-    return RadialLimit(value=value, estimate=estimate, converged=not diverged)
+    radii = 1.0 + sign * 2.0 ** -np.arange(j_lo, j_hi + 1.0)
+    return neville_extrapolate(fn(radii))
 
 
 @dataclass(frozen=True)
@@ -106,10 +75,6 @@ class HerglotzEvaluator:
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
     def psi(self, z) -> np.ndarray:
         """psi at a point off the circle, or at each point of an array of them
         (output shape z.shape + (k, k))."""
@@ -130,11 +95,6 @@ class HerglotzEvaluator:
         """
         inner = 1j * evaluate_series(self.series, np.exp(1j * np.asarray(theta, dtype=float)))
         return inner if side == "inner" else _adjoint(inner)
-
-    def jump(self, theta) -> np.ndarray:
-        """(1/2i)(psi_inner - psi_outer) at e^{i theta}: recovers the density."""
-        plus = self.boundary_profile(theta, "inner")
-        return (plus - _adjoint(plus)) / 2j
 
     def ring_values(self, r: float, grid: CircleGrid) -> np.ndarray:
         """psi(r e^{i theta_m}) on all grid nodes at once via an inverse FFT.

@@ -156,11 +156,6 @@ class CrossValidation:
     sizes: np.ndarray
     errors: np.ndarray
 
-    def rows(self):
-        for i, z in enumerate(self.zs):
-            for j, m in enumerate(self.sizes):
-                yield complex(z), int(m), float(self.errors[i, j])
-
 
 def cross_validate(system: DeBrangesSystem, zs: Sequence[complex],
                    models: Sequence[TruncatedModel]) -> CrossValidation:
@@ -197,11 +192,6 @@ class SpectralMeasure:
         """(angles, cumulative trace mass) sorted by angle."""
         traces = self.trace_masses()
         return self.angles, np.cumsum(traces)
-
-    def rows(self):
-        traces = self.trace_masses()
-        for omega, tr in zip(self.angles, traces):
-            yield float(omega), float(tr)
 
 
 class _Secular:

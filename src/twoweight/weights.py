@@ -233,18 +233,7 @@ class MatrixWeight:
                             grid=self.grid, values=self.values * factor)
 
 
-def schatten_norm(a, p: float = 1.0) -> float:
-    """(sum of singular values^p)^(1/p)."""
-    if p < 1:
-        raise ValueError("Schatten index must satisfy p >= 1")
-    a = np.asarray(a, dtype=complex)
-    if a.shape == (1, 1):
-        return float(np.abs(a[0, 0]))
-    s = np.linalg.svd(a, compute_uv=False)
-    return float((s ** p).sum() ** (1.0 / p))
-
-
-def _mean_schatten_norm(w: MatrixWeight) -> float:
+def _mean_norm(w: MatrixWeight) -> float:
     samples = w.samples_on(w.natural_grid())
     if w.dim == 1:
         return float(np.abs(samples[:, 0, 0]).mean())
@@ -255,7 +244,7 @@ def _mean_schatten_norm(w: MatrixWeight) -> float:
 
 def normalize(w: MatrixWeight) -> MatrixWeight:
     """Scale so the circle mean of the pointwise Schatten-p norm equals one."""
-    mean_norm = _mean_schatten_norm(w)
+    mean_norm = _mean_norm(w)
     if mean_norm <= VANISH_TOL:
         raise ValueError("degenerate weight")
     return w.scaled(1.0 / mean_norm)
@@ -270,23 +259,16 @@ def moment_zero(w: MatrixWeight) -> np.ndarray:
     return psd_rebuild(vec, np.clip(lam, 0.0, 1.0))
 
 
-def _as_scalar_samples(v, grid: Optional[CircleGrid]) -> tuple[np.ndarray, CircleGrid]:
-    if isinstance(v, MatrixWeight):
-        if v.dim != 1:
-            raise ValueError("scalar transform requires a 1x1 weight")
-        grid = grid or v.natural_grid()
-        return v.samples_on(grid)[:, 0, 0].real.copy(), grid
+def _as_scalar_samples(v, grid: CircleGrid) -> np.ndarray:
     samples = np.asarray(v, dtype=float)
     if samples.ndim != 1:
         raise ValueError("scalar weight samples must be one-dimensional")
-    if grid is None:
-        grid = CircleGrid(samples.shape[0])
-    elif grid.size != samples.shape[0]:
+    if grid.size != samples.shape[0]:
         raise ValueError("sample count must match the grid size")
-    return samples.copy(), grid
+    return samples.copy()
 
 
-def koosis_transform(v, direction: str = "forward", grid: Optional[CircleGrid] = None,
+def koosis_transform(v, grid: CircleGrid, direction: str = "forward",
                      constant: Optional[float] = None):
     """Scalar weight transform between v and normalize(1/v).
 
@@ -294,7 +276,7 @@ def koosis_transform(v, direction: str = "forward", grid: Optional[CircleGrid] =
     backward: returns (c / w, c), the pointwise inverse scaled back.
     Samples of +inf are legal in v (they map to zeros of 1/v).
     """
-    samples, grid = _as_scalar_samples(v, grid)
+    samples = _as_scalar_samples(v, grid)
     if np.any(samples <= VANISH_TOL):
         raise ValueError("weight vanishes on a grid point")
     if direction == "forward":
@@ -313,13 +295,13 @@ def koosis_transform(v, direction: str = "forward", grid: Optional[CircleGrid] =
     raise ValueError("direction must be 'forward' or 'backward'")
 
 
-def muckenhoupt_sup(v, grid: Optional[CircleGrid] = None) -> float:
+def muckenhoupt_sup(v, grid: CircleGrid) -> float:
     """Dyadic two-sided average product sup over aligned blocks of 4..M nodes.
 
     Trapezoid averages on closed blocks; blocks with non-finite averages
     (the weight may be +inf at isolated nodes) are excluded from the sup.
     """
-    samples, grid = _as_scalar_samples(v, grid)
+    samples = _as_scalar_samples(v, grid)
     if np.any(samples <= VANISH_TOL):
         raise ValueError("weight vanishes on a grid point")
     m = grid.size
@@ -371,10 +353,6 @@ def fixture(name: str) -> MatrixWeight:
     raise ValueError(f"unknown fixture {name!r}")
 
 
-def fixtures() -> dict:
-    return {name: fixture(name) for name in FIXTURE_NAMES}
-
-
 def random_polynomial_weight(rng: np.random.Generator, dim: int,
                              half_degree: int = 2, schatten_p: float = 1.0) -> MatrixWeight:
     """Random normalized weight Q(theta)* Q(theta), Q a matrix polynomial of
@@ -417,13 +395,24 @@ def save_weight_spec(w: MatrixWeight, path) -> None:
         fh.write("\n")
 
 
+def _number(value, convert, what: str):
+    """convert(value), or a ValueError naming the spec field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"weight spec {what} must be a number, got {json.dumps(value)}") from None
+
+
 def _matrix_from_entry(entry: dict, dim: int, what: str) -> np.ndarray:
-    real = np.asarray(entry.get("real"), dtype=float)
-    imag_raw = entry.get("imag")
-    imag = np.zeros_like(real) if imag_raw is None else np.asarray(imag_raw, dtype=float)
-    if real.shape != (dim, dim) or imag.shape != (dim, dim):
-        raise ValueError(f"{what} must be a {dim}x{dim} real/imag matrix pair")
-    return real + 1j * imag
+    try:
+        real = np.asarray(entry.get("real"), dtype=float)
+        imag_raw = entry.get("imag")
+        imag = np.zeros_like(real) if imag_raw is None else np.asarray(imag_raw, dtype=float)
+        if real.shape == imag.shape == (dim, dim):
+            return real + 1j * imag
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be a {dim}x{dim} real/imag matrix pair")
 
 
 def load_weight_spec(path) -> MatrixWeight:
@@ -436,20 +425,22 @@ def load_weight_spec(path) -> MatrixWeight:
     if not isinstance(doc, dict):
         raise ValueError("weight spec must be a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = _number(doc["dim"], int, "dim")
         kind = doc["kind"]
         data = doc["data"]
     except KeyError as exc:
         raise ValueError(f"weight spec missing field {exc}") from exc
-    schatten_p = float(doc.get("schatten_p", 1.0))
+    schatten_p = _number(doc.get("schatten_p", 1.0), float, "schatten_p")
     if not isinstance(data, list) or not data:
         raise ValueError("weight spec data must be a non-empty list")
+    if not all(isinstance(entry, dict) for entry in data):
+        raise ValueError("weight spec data entries must be JSON objects")
     if kind == "fourier":
         orders = []
         for entry in data:
             if "n" not in entry:
                 raise ValueError("Fourier entries need an order field 'n'")
-            orders.append(int(entry["n"]))
+            orders.append(_number(entry["n"], int, "order n"))
         if min(orders) < 0:
             raise ValueError("Fourier entries carry n >= 0 only")
         coeffs = np.zeros((max(orders) + 1, dim, dim), dtype=complex)

@@ -13,6 +13,7 @@ from twoweight.circle import CircleGrid
 from twoweight import cli
 from twoweight.cli import _fmt, main
 from twoweight.debranges import build_system
+from twoweight.model import build_model, cross_validate, spectral_nu1
 from twoweight.verify import DEFAULT_SEED, koosis_pipeline, parse_report
 from twoweight.weights import (MatrixWeight, fixture, load_weight_spec, normalize,
                                random_polynomial_weight, save_weight_spec)
@@ -31,6 +32,13 @@ def _header_lines(path):
                 break
             lines.append(line.rstrip("\n"))
     return lines
+
+
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twoweight.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def _table(path):
@@ -294,6 +302,42 @@ def test_scalar_samples_file(tmp_path):
     assert not (tmp_path / "never.csv").exists()
 
 
+_ONE_ORDER = {"n": 0, "real": [[1.0]]}
+MALFORMED = {
+    "samples-object": ("scalar", "--samples", {"values": [1, 2, 3]}),
+    "samples-of-objects": ("scalar", "--samples", [{"v": 1.0}] * 64),
+    "fourier-entries-not-objects": ("construct", "--weight-spec",
+                                    {"dim": 1, "kind": "fourier", "data": [1, 2]}),
+    "samples-entries-not-objects": ("construct", "--weight-spec",
+                                    {"dim": 1, "kind": "samples", "data": [1.0] * 64}),
+    "schatten-p-null": ("construct", "--weight-spec",
+                        {"dim": 1, "schatten_p": None, "kind": "fourier",
+                         "data": [_ONE_ORDER]}),
+    "dim-null": ("construct", "--weight-spec",
+                 {"dim": None, "kind": "fourier", "data": [_ONE_ORDER]}),
+    "order-null": ("construct", "--weight-spec",
+                   {"dim": 1, "kind": "fourier", "data": [{"n": None, "real": [[1.0]]}]}),
+    "matrix-object": ("construct", "--weight-spec",
+                      {"dim": 1, "kind": "fourier", "data": [{"n": 0, "real": {"a": 1}}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
+    command, flag, doc = MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    done = subprocess.run([sys.executable, "-m", "twoweight.cli", command, flag, str(path),
+                           "-o", str(out)], env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert not out.exists()
+
+
 def test_scalar_vanishing_sample_exits_two(tmp_path):
     samples = tmp_path / "samples.json"
     values = [1.0] * 64
@@ -314,11 +358,8 @@ def test_version_exits_zero(capsys):
 
 def test_import_leaves_scipy_out():
     # the package runs on numpy alone; a fresh interpreter proves it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twoweight.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = "import sys, twoweight.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
 
@@ -456,6 +497,39 @@ def test_scalar_bytes_match_per_value_render(tmp_path, capfd):
         rows.append(f"{_fmt(theta)},{_fmt(result.v0[idx])},"
                     f"{_fmt(result.v1[idx])},{int(result.flags[idx])}")
     assert _body(out) == "\n".join(rows) + "\n"
+
+
+def _old_model_body(weight, sizes):
+    """The model-check table rendered value by value with _fmt."""
+    weight = normalize(weight)
+    models = [build_model(weight, size) for size in sizes]
+    table = cross_validate(build_system(weight), cli.MODEL_POINTS, models)
+    rows = ["kind,size,a,b,value"]
+    for i, z in enumerate(table.zs):
+        for j, size in enumerate(table.sizes):
+            rows.append(f"xval,{size},{_fmt(z.real)},{_fmt(z.imag)},"
+                        f"{_fmt(table.errors[i, j])}")
+    for model in models:
+        measure = spectral_nu1(model)
+        for omega, mass in zip(measure.angles, measure.trace_masses()):
+            rows.append(f"spectral,{model.size},{_fmt(omega)},{_fmt(0.0)},{_fmt(mass)}")
+    return "\n".join(rows) + "\n"
+
+
+def test_model_check_fixture_bytes_match_per_value_render(tmp_path, capfd):
+    out = tmp_path / "model.csv"
+    assert _quiet_main(["model-check", "--fixture", "W_COS", "--modes", "64", "256",
+                        "1024", "-o", str(out)], capfd) == 0
+    assert _body(out) == _old_model_body(fixture("W_COS"), [64, 256, 1024])
+
+
+def test_model_check_spec_bytes_match_per_value_render(tmp_path, capfd):
+    spec = tmp_path / "k2.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(32), 2), spec)
+    out = tmp_path / "model.csv"
+    assert _quiet_main(["model-check", "--weight-spec", str(spec), "-o", str(out)],
+                       capfd) == 0
+    assert _body(out) == _old_model_body(load_weight_spec(str(spec)), [64, 128, 256])
 
 
 def test_construct_eigensolves_each_stack_once(tmp_path, monkeypatch):

@@ -108,6 +108,16 @@ def test_psi1_raises_beyond_cond_cutoff(monkeypatch):
     system = build_system(fixture("W_COS"))
     with pytest.raises(ValueError, match="singular"):
         system.psi1(-0.5)
+    # one point past the cutoff fails the whole batch, and names that point
+    with pytest.raises(ValueError, match=r"singular at z = \(-0\.5\+0j\)"):
+        system.psi1(np.array([0.0, 0.5, -0.5 + 0j]))
+
+
+def _reconstructed_w1(system, theta):
+    """(D0+)^-* w0 (D0+)^-1 at one angle: the independent route to w1."""
+    value = system.alpha + system.psi0.boundary_profile(np.asarray(theta, float))
+    inv = np.linalg.inv(value)
+    return inv.conj().T @ system.weight.value_at(theta) @ inv
 
 
 def test_reconstruction_matches_companion():
@@ -115,7 +125,7 @@ def test_reconstruction_matches_companion():
     result = system.companion_weight(CircleGrid(128))
     for idx in (3, 40, 100):
         theta = float(result.grid.nodes[idx])
-        recon = system.companion_weight_reconstructed(theta)
+        recon = _reconstructed_w1(system, theta)
         assert np.abs(recon - result.w1.values[idx]).max() < 1e-10
 
 

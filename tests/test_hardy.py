@@ -41,11 +41,12 @@ def test_weighted_inner_closed_forms():
     chi = np.array([[1.0 + 0j]])
     inside = RationalTestFunction(np.array([0.0j]), chi)  # f = 1/mu, norm 1
     outside = RationalTestFunction(np.array([2.0 + 0j]), chi)
-    assert abs(weighted_inner(inside, inside, w) - 1.0) < 1e-12
+    grid = CircleGrid(64)
+    assert abs(weighted_inner(inside, inside, w, grid) - 1.0) < 1e-12
     # 1/|mu-2|^2 integrates to 1/3 on the unit circle
-    assert abs(weighted_inner(outside, outside, w) - 1.0 / 3.0) < 1e-12
+    assert abs(weighted_inner(outside, outside, w, grid) - 1.0 / 3.0) < 1e-12
     # analytic/anti-analytic parts are orthogonal
-    assert abs(weighted_inner(inside, outside, w)) < 1e-12
+    assert abs(weighted_inner(inside, outside, w, grid)) < 1e-12
 
 
 def test_weighted_inner_rejects_coarse_grid():

@@ -84,7 +84,6 @@ def test_cross_validation_errors_shrink_or_floor():
     for row in table.errors:
         for a, b in zip(row[:-1], row[1:]):
             assert b <= max(a / 1.5, 1e-12)
-    assert len(list(table.rows())) == 6
 
 
 def test_spectral_measure_total_mass_and_psd():

@@ -5,14 +5,19 @@ import pytest
 
 from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
+from twoweight.herglotz import neville_extrapolate, radial_limit
 from twoweight.verify import (CHECKS, EVERY, CheckResult, Report, SuiteConfig,
-                              check_names, koosis_pipeline,
+                              _imag_part, enumerate_checks, koosis_pipeline,
                               nondegeneracy_report, parse_report, run_suite,
                               run_weight_checks)
 from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
                                random_polynomial_weight)
 
 FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
+
+
+def check_names(config):
+    return tuple(sorted(name for name, _, _ in enumerate_checks(config)))
 
 
 def test_suite_config_validation():
@@ -223,3 +228,23 @@ def test_nondegeneracy_shared_factorisations_match_direct_route():
         assert report.rank_mismatches == int((rank(w0) != rank(w1))[keep].sum())
         gaps = (bound - opnorm(w1))[keep]
         assert report.bound_violations == int((gaps > 1e-8).sum())
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_batched_ladder_matches_per_radius_stack(name):
+    """The ladders of the companion and Herglotz checks evaluate all their
+    radii in one call; the limit is bit for bit the one extrapolated from a
+    stack of one-point evaluations."""
+    system = build_system(fixture(name))
+    for point in CircleGrid(256).points[[3, 64, 131]]:
+        ladders = (
+            (lambda r: _imag_part(system.psi1(r * point)), "inner", 13, 20),
+            (lambda r: system.psi0.psi(r * point), "inner", 6, 14),
+            (lambda r: system.psi0.psi(r * point), "outer", 6, 14),
+        )
+        for fn, side, j_lo, j_hi in ladders:
+            sign = -1.0 if side == "inner" else 1.0
+            radii = [1.0 + sign * 2.0 ** -j for j in range(j_lo, j_hi + 1)]
+            stack = np.stack([fn(r) for r in radii])
+            assert np.array_equal(radial_limit(fn, side, j_lo, j_hi),
+                                  neville_extrapolate(stack)), (name, side)
