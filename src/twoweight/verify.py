@@ -37,6 +37,10 @@ COND_LIMIT = 1e6
 CONTRACTION_GRID = 4096
 ISOMETRY_GRID = 1024
 QUADRATURE_GRID = 1024
+# the model rows eigensolve the dense U1 of their finer model, of size 2N k:
+# 2N k stays <= 1024 (16 MB per complex matrix), and a Fourier weight of
+# higher degree than that N holds errors there
+MODEL_ROWS_CAP = 1024
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -182,8 +186,15 @@ _CLOSED_FORM_W1 = {
 _DEFICITS = {"W_CONST": 0.0, "W_COS": 0.5, "W_DIAG": 0.0, "W_RANK1": 0.5}
 
 
+def _degree_grid(degree: int, floor: int, cap: int) -> int:
+    """The smallest power of two >= 2(d + 1), the grid that holds a series of
+    degree d, cut to `cap` and then raised to `floor`."""
+    return max(floor, min(cap, next_power_of_two(2 * (degree + 1))))
+
+
 class _SuiteContext:
-    """Caches weights, systems, operators, models and reports across checks."""
+    """Caches weights, systems, operators, models and reports across the rows
+    of one subject; the suite drops it after the subject's last row."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
@@ -220,6 +231,15 @@ class _SuiteContext:
             self._models[key] = build_model(self.weight(fx), size)
         return self._models[key]
 
+    def model_sizes(self, fx: str) -> Tuple[int, int]:
+        """The model rows' two truncation sizes N and 2N: N is the degree
+        grid of the weight, at least 64 and, while that allows, at most the
+        largest power of two with 2N k <= MODEL_ROWS_CAP."""
+        weight = self.weight(fx)
+        cap = next_power_of_two(MODEL_ROWS_CAP // (2 * weight.dim) + 1) // 2
+        base = _degree_grid(weight.degree, 64, cap)
+        return base, 2 * base
+
     def nondegeneracy(self, label: str) -> NondegeneracyReport:
         if label not in self._nondegeneracy:
             ops = self.ops(label, self.config.grid_size)
@@ -237,7 +257,8 @@ class _SuiteContext:
 
     def random_labels(self) -> list:
         """Labels of the random weights, fixed by the suite seed alone and
-        registered on first use, so their systems and operators are cached."""
+        registered on first use, so the random rows share their systems and
+        operators."""
         if self._random_labels is None:
             rng = _rng_for(self.config.seed, "random-weights")
             self._random_labels = []
@@ -503,8 +524,13 @@ def _check_trace_budget(fx, ctx, rng):
     return max(0.0, total - budget)
 
 
+def _row_model(fx, ctx):
+    """The finer of the two truncated models the model rows compare."""
+    return ctx.model(fx, ctx.model_sizes(fx)[1])
+
+
 def _check_model_unitarity(fx, ctx, rng):
-    mdl = ctx.model(fx, 128)
+    mdl = _row_model(fx, ctx)
     eye = np.eye(mdl.u1.shape[0])
     drift0 = np.abs(np.abs(mdl.phases) - 1.0).max()
     # U1* U1 - I is Hermitian: its 2-norm is its largest |eigenvalue|
@@ -513,11 +539,11 @@ def _check_model_unitarity(fx, ctx, rng):
 
 
 def _check_model_intertwine(fx, ctx, rng):
-    return intertwine_residual(ctx.model(fx, 128))
+    return intertwine_residual(_row_model(fx, ctx))
 
 
 def _check_model_identities(fx, ctx, rng):
-    mdl = ctx.model(fx, 128)
+    mdl = _row_model(fx, ctx)
     worst = 0.0
     for _ in range(5):
         z = _draw_z(rng, lo=0.1, hi=0.8)
@@ -526,14 +552,14 @@ def _check_model_identities(fx, ctx, rng):
 
 
 def _check_cross_validation(fx, ctx, rng):
-    models = [ctx.model(fx, 64), ctx.model(fx, 128)]
+    models = [ctx.model(fx, size) for size in ctx.model_sizes(fx)]
     table = cross_validate(ctx.system(fx), [0.3], models)
     e1, e2 = float(table.errors[0, 0]), float(table.errors[0, 1])
     return max(0.0, e2 - max(e1 / 1.5, 1e-12))
 
 
 def _check_spectral_total(fx, ctx, rng):
-    mdl = ctx.model(fx, 128)
+    mdl = _row_model(fx, ctx)
     measure = spectral_nu1(mdl)
     return float(np.linalg.norm(measure.total_mass() - mdl.gg_star, 2))
 
@@ -778,7 +804,8 @@ X_GRAM = "x_gram"    # the one X Gram row that fits the weight's deficit
 # The other rows run once per suite under their bare name and take (ctx, rng):
 SUITE = "suite"      # whenever a fixture is enabled
 RANDOM = "random"    # when the suite draws random weights
-# ... and a fixture name as scope: when that fixture is enabled.
+# ... and a fixture name as scope: when that fixture is enabled, beside that
+# fixture's per-weight rows, so they share its cached operators.
 
 
 def _deficit_tolerance(config: SuiteConfig) -> float:
@@ -869,18 +896,24 @@ def _weight_checks(label: str, config: SuiteConfig) -> list:
 
 
 def enumerate_checks(config: SuiteConfig) -> list:
-    """(name, default tolerance, callable) for every enabled check."""
+    """Every enabled check as (name, default tolerance, callable), in one
+    group per subject: each fixture's rows with the suite rows scoped to it,
+    then the random weights' rows, then the rows that take no weight."""
     if not config.fixtures:
         return []
-    checks = [check for fx in config.fixtures for check in _weight_checks(fx, config)]
-    for name, tol, scope, fn in CHECKS:
-        if (scope == SUITE or scope in config.fixtures
-                or (scope == RANDOM and config.random_weights > 0)):
-            checks.append((name, _tolerance(tol, config), fn))
-    return checks
+
+    def suite_rows(scope):
+        return [(name, _tolerance(tol, config), fn)
+                for name, tol, row_scope, fn in CHECKS if row_scope == scope]
+
+    groups = [_weight_checks(fx, config) + suite_rows(fx) for fx in config.fixtures]
+    if config.random_weights > 0:
+        groups.append(suite_rows(RANDOM))
+    groups.append(suite_rows(SUITE))
+    return groups
 
 
-def _run_entries(checks, config: SuiteConfig, ctx: "_SuiteContext") -> Report:
+def _run_entries(checks, config: SuiteConfig, ctx: "_SuiteContext") -> list:
     entries = []
     for name, default_tol, fn in checks:
         rng = _rng_for(config.seed, name)
@@ -895,15 +928,18 @@ def _run_entries(checks, config: SuiteConfig, ctx: "_SuiteContext") -> Report:
             status, message = ("pass" if value <= tol else "fail"), ""
         runtime = time.perf_counter() - start
         entries.append(CheckResult(name, status, value, tol, runtime, message))
-    return Report(tuple(entries))
+    return entries
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Run every enabled check; failures are entries, not exceptions."""
-    checks = enumerate_checks(config)
-    if not checks:
-        return Report(())
-    return _run_entries(checks, config, _SuiteContext(config))
+    """Run every enabled check; failures are entries, not exceptions.
+
+    Each subject's rows share a cache that is dropped after its last row,
+    so the suite holds one fixture's operators at a time.  Every row draws
+    from its own (seed, name) stream and the report is sorted by name, so
+    the order of the groups moves no byte."""
+    return Report(tuple(entry for checks in enumerate_checks(config)
+                        for entry in _run_entries(checks, config, _SuiteContext(config))))
 
 
 def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
@@ -919,12 +955,12 @@ def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
     """
     if label in FIXTURE_NAMES:
         raise ValueError("label collides with a fixture name")
-    grid_size = min(8192, max(256, next_power_of_two(2 * (weight.degree + 1))))
+    grid_size = _degree_grid(weight.degree, 256, 8192)
     config = SuiteConfig(seed=seed, random_weights=0, grid_size=grid_size,
                          tolerances=dict(tolerances or {}))
     ctx = _SuiteContext(config)
     ctx.register(label, normalize(weight))
-    return _run_entries(_weight_checks(label, config), config, ctx)
+    return Report(tuple(_run_entries(_weight_checks(label, config), config, ctx)))
 
 
 # -- scalar pipeline ----------------------------------------------------------

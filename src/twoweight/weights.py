@@ -21,6 +21,8 @@ HERMITIAN_TOL = 1e-10
 PSD_CLAMP = 1e-10
 VANISH_TOL = 1e-14
 TRIM_TOL = 1e-14
+# a series of degree d needs a grid of 2(d + 1) nodes; the largest grid has 65536
+MAX_ORDER = 65536 // 2 - 1
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -396,10 +398,11 @@ def save_weight_spec(w: MatrixWeight, path) -> None:
 
 
 def _number(value, convert, what: str):
-    """convert(value), or a ValueError naming the spec field."""
+    """convert(value), or a ValueError naming the spec field (int() of an
+    infinite JSON number overflows)."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"weight spec {what} must be a number, got {json.dumps(value)}") from None
 
 
@@ -436,16 +439,22 @@ def load_weight_spec(path) -> MatrixWeight:
     if not all(isinstance(entry, dict) for entry in data):
         raise ValueError("weight spec data entries must be JSON objects")
     if kind == "fourier":
-        orders = []
+        # every entry is read and checked before the coefficient stack exists
+        orders, blocks = [], []
         for entry in data:
             if "n" not in entry:
                 raise ValueError("Fourier entries need an order field 'n'")
-            orders.append(_number(entry["n"], int, "order n"))
-        if min(orders) < 0:
-            raise ValueError("Fourier entries carry n >= 0 only")
+            order = _number(entry["n"], int, "order n")
+            if order < 0:
+                raise ValueError("Fourier entries carry n >= 0 only")
+            if order > MAX_ORDER:
+                raise ValueError(f"Fourier order n={order} is above {MAX_ORDER}, "
+                                 "the largest order a 65536-node grid resolves")
+            orders.append(order)
+            blocks.append(_matrix_from_entry(entry, dim, f"coefficient n={order}"))
         coeffs = np.zeros((max(orders) + 1, dim, dim), dtype=complex)
-        for order, entry in zip(orders, data):
-            coeffs[order] = _matrix_from_entry(entry, dim, f"coefficient n={order}")
+        for order, block in zip(orders, blocks):
+            coeffs[order] = block
         return MatrixWeight.from_fourier(coeffs, schatten_p=schatten_p)
     if kind == "samples":
         stack = np.stack([

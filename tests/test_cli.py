@@ -12,8 +12,9 @@ import twoweight
 from twoweight.circle import CircleGrid
 from twoweight import cli
 from twoweight.cli import _fmt, main
-from twoweight.debranges import build_system
-from twoweight.model import build_model, cross_validate, spectral_nu1
+from twoweight.debranges import DeBrangesSystem, build_system
+from twoweight.model import (CrossValidation, build_model, cross_validate, psi_direct,
+                             spectral_nu1)
 from twoweight.verify import DEFAULT_SEED, koosis_pipeline, parse_report
 from twoweight.weights import (MatrixWeight, fixture, load_weight_spec, normalize,
                                random_polynomial_weight, save_weight_spec)
@@ -319,6 +320,17 @@ MALFORMED = {
                    {"dim": 1, "kind": "fourier", "data": [{"n": None, "real": [[1.0]]}]}),
     "matrix-object": ("construct", "--weight-spec",
                       {"dim": 1, "kind": "fourier", "data": [{"n": 0, "real": {"a": 1}}]}),
+    # refused before any coefficient stack is allocated (it would be 14.6 TiB)
+    "order-huge": ("construct", "--weight-spec",
+                   {"dim": 1, "kind": "fourier",
+                    "data": [{"n": 1000000000000, "real": [[1.0]]}]}),
+    # json writes and reads Infinity; int() of it overflows
+    "order-infinite": ("construct", "--weight-spec",
+                       {"dim": 1, "kind": "fourier",
+                        "data": [{"n": float("inf"), "real": [[1.0]]}]}),
+    "dim-infinite": ("construct", "--weight-spec",
+                     {"dim": float("inf"), "kind": "fourier",
+                      "data": [{"n": 0, "real": [[1.0]]}]}),
 }
 
 
@@ -530,6 +542,39 @@ def test_model_check_spec_bytes_match_per_value_render(tmp_path, capfd):
     assert _quiet_main(["model-check", "--weight-spec", str(spec), "-o", str(out)],
                        capfd) == 0
     assert _body(out) == _old_model_body(load_weight_spec(str(spec)), [64, 128, 256])
+
+
+def _per_point_cross_validate(system, zs, models):
+    """cross_validate with one psi1 call per probe point and model size."""
+    zs = np.asarray(list(zs), dtype=complex)
+    errors = np.array([[np.linalg.norm(psi_direct(model, 1, z) - system.psi1(z), 2)
+                        for model in models] for z in zs])
+    return CrossValidation(zs=zs, sizes=np.array([m.size for m in models]), errors=errors)
+
+
+@pytest.mark.parametrize("source", ["fixture", "spec"])
+def test_model_check_takes_psi1_once(tmp_path, capfd, monkeypatch, source):
+    if source == "fixture":
+        argv = ["--fixture", "W_COS", "--modes", "64", "128", "256"]
+    else:
+        spec = tmp_path / "k2.json"
+        save_weight_spec(random_polynomial_weight(np.random.default_rng(32), 2), spec)
+        argv = ["--weight-spec", str(spec)]
+    calls = []
+    psi1 = DeBrangesSystem.psi1
+
+    def counted(self, z):
+        calls.append(np.size(z))
+        return psi1(self, z)
+
+    monkeypatch.setattr(DeBrangesSystem, "psi1", counted)
+    out = tmp_path / "model.csv"
+    assert _quiet_main(["model-check", *argv, "-o", str(out)], capfd) == 0
+    assert calls == [len(cli.MODEL_POINTS)]
+    monkeypatch.setattr(cli, "cross_validate", _per_point_cross_validate)
+    reference = tmp_path / "reference.csv"
+    assert _quiet_main(["model-check", *argv, "-o", str(reference)], capfd) == 0
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_construct_eigensolves_each_stack_once(tmp_path, monkeypatch):

@@ -113,7 +113,8 @@ def test_gram_norm_estimate_rejects_zero_gram():
 
 def test_contraction_on_fixtures():
     for name in ("W_COS", "W_RANK1"):
-        ops = _ops(name, 1024)
+        # standoffs reach 1e-2: the guard admits M >= ln(1e6)/1e-2 = 1382
+        ops = _ops(name, 2048)
         funcs = random_test_functions(RNG, 25, ops.system.dim)
         ratios = ops.contraction_ratios(funcs)
         assert ratios.shape == (2, 25)
@@ -150,9 +151,12 @@ def test_contraction_ratios_match_per_function_reference():
 def test_contraction_ratios_require_grid_clearance():
     system = build_system(fixture("W_COS"))
     f = RationalTestFunction(np.array([1.01 * np.exp(2j), 1.5]), np.array([[1.0], [1.0]]))
-    with pytest.raises(ValueError, match="grid"):
-        HardyOperators.build(system, 64).contraction_ratios([f])
-    # unguarded, M = 64 read 0.3405 for P+ here: off by 0.031 from the resolved value
+    # standoff 0.01: M >= ln(1e6)/0.01, so 1382 nodes and up
+    for size in (64, 1024):
+        with pytest.raises(ValueError, match="grid"):
+            HardyOperators.build(system, size).contraction_ratios([f])
+    # unguarded, M = 64 read 0.3405 for P+ here (off by 0.031 from the resolved
+    # value) and M = 1024 read 0.3094575 (off by 4.5e-6)
     fine = HardyOperators.build(system, 4096).contraction_ratios([f])
     finer = HardyOperators.build(system, 8192).contraction_ratios([f])
     assert np.abs(fine - finer).max() < 1e-5

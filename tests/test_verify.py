@@ -1,15 +1,19 @@
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from twoweight.circle import CircleGrid
+from twoweight import verify
+from twoweight.circle import CircleGrid, poisson_kernel
 from twoweight.debranges import build_system
+from twoweight.hardy import HardyOperators
 from twoweight.herglotz import neville_extrapolate, radial_limit
-from twoweight.verify import (CHECKS, EVERY, CheckResult, Report, SuiteConfig,
-                              _imag_part, enumerate_checks, koosis_pipeline,
-                              nondegeneracy_report, parse_report, run_suite,
-                              run_weight_checks)
+from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, X_GRAM, CheckResult,
+                              Report, SuiteConfig, _imag_part, enumerate_checks,
+                              koosis_pipeline, nondegeneracy_report, parse_report,
+                              run_suite, run_weight_checks)
 from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
                                random_polynomial_weight)
 
@@ -17,7 +21,7 @@ FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
 
 
 def check_names(config):
-    return tuple(sorted(name for name, _, _ in enumerate_checks(config)))
+    return tuple(sorted(name for group in enumerate_checks(config) for name, _, _ in group))
 
 
 def test_suite_config_validation():
@@ -150,6 +154,91 @@ def test_run_weight_checks_sizes_the_grid_from_the_degree():
     report = run_weight_checks(weight, seed=7)
     assert "debranges.companion_psd[WEIGHT]" in report.names()
     assert [e.name for e in report.entries if e.status == "error"] == []
+
+
+def test_model_rows_size_from_the_degree():
+    # degree 100: the fixed sizes 64 and 128 made every model row an error
+    weight = random_polynomial_weight(np.random.default_rng(5), 1, half_degree=100)
+    assert weight.degree == 100
+    report = run_weight_checks(weight)
+    model_rows = [e for e in report.entries if e.name.startswith("model.")]
+    assert len(model_rows) == 5
+    assert [e.name for e in model_rows if e.status == "error"] == []
+
+
+def test_model_rows_stay_small_on_many_samples(monkeypatch):
+    """1024 samples of a smooth k = 3 weight trim to degree 511; the model
+    rows build models of size N with N k <= MODEL_ROWS_CAP, where sizes 1024
+    and 2048 from the degree alone would eigensolve a dense 6144 x 6144 U1
+    (GBs)."""
+    theta = CircleGrid(1024).nodes
+    rng = np.random.default_rng(7)
+    values = np.broadcast_to(0.2 * np.eye(3), (1024, 3, 3)).astype(complex)
+    for _ in range(3):
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        bump = poisson_kernel(0.945, theta - rng.uniform(0, 2 * np.pi))
+        values = values + bump[:, None, None] * np.outer(v, v.conj()) / np.vdot(v, v).real
+    weight = MatrixWeight.from_samples(values)
+    assert weight.degree == 511
+    built = []
+    build = verify.build_model
+
+    def capped_build(w0, size):
+        assert size * w0.dim <= verify.MODEL_ROWS_CAP, size
+        built.append(size)
+        return build(w0, size)
+
+    monkeypatch.setattr(verify, "build_model", capped_build)
+    tracemalloc.start()
+    try:
+        report = run_weight_checks(weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(set(built)) == [128, 256]
+    model_rows = [e for e in report.entries if e.name.startswith("model.")]
+    assert len(model_rows) == 5 and all(e.status == "pass" for e in model_rows)
+    # about 37 MB with the cap
+    assert peak <= 100e6, peak
+
+
+def test_suite_holds_one_subject_at_a_time(monkeypatch):
+    """At the start of every row, the live operators were all built for one
+    subject (a fixture, or the random weights)."""
+    subject_of = weakref.WeakKeyDictionary()
+    running, live = [], []
+    init = HardyOperators.__init__
+
+    def recording_init(self, system, grid):
+        init(self, system, grid)
+        subject_of[self] = running[-1]
+
+    def row(scope, fn):
+        def run(*args):
+            live.append(set(subject_of.values()))
+            running.append(args[0] if scope in (EVERY, FIXTURE, X_GRAM) else scope)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(HardyOperators, "__init__", recording_init)
+    monkeypatch.setattr(verify, "CHECKS", tuple((name, tol, scope, row(scope, fn))
+                                                for name, tol, scope, fn in CHECKS))
+    report = run_suite(SuiteConfig())
+    assert len(live) == len(report.entries)
+    assert {subject for subjects in live for subject in subjects} == set(FIXTURE_NAMES) | {RANDOM}
+    assert max(len(subjects) for subjects in live) == 1
+
+
+def test_suite_traced_peak_stays_small():
+    # about 18 MB while every fixture's operators stayed cached to the end
+    tracemalloc.start()
+    try:
+        report = run_suite(SuiteConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 12e6, peak
 
 
 def test_run_weight_checks_rejects_fixture_label():
