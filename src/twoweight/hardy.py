@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -16,18 +17,21 @@ from .weights import MatrixWeight
 
 DELTA_POLE = 1e-3
 # the quadrature routes sample w0 f on an OVERSAMPLE-times finer grid and
-# combine the radii 1 -+ eps, 2 eps, 4 eps (eps = QUADRATURE_OFFSET / M)
+# combine the radii 1 -+ eps, 2 eps, 4 eps, 8 eps (eps = QUADRATURE_OFFSET / M),
+# weighted to cancel the eps, eps^2 and eps^3 terms, into one damping vector
 OVERSAMPLE = 8
 QUADRATURE_OFFSET = 10.0
-RICHARDSON_WEIGHTS = (8.0 / 3.0, -2.0, 1.0 / 3.0)
-# grid nodes per block of the corpus-wide contraction pass: the block's
-# kernel (functions x nodes x terms) stays around a megabyte
-NODE_BLOCK = 128
+RICHARDSON_WEIGHTS = (64.0 / 21.0, -56.0 / 21.0, 14.0 / 21.0, -1.0 / 21.0)
+# a corpus pass walks the grid in blocks of BLOCK_VALUES / functions nodes (a
+# power of two; 128 for 100 functions): the pole-major kernel and the values
+# stay near a megabyte
+BLOCK_VALUES = 1 << 14
 # a pole at distance s from the circle aliases like e^{-M s} on M nodes: the
 # Gram routes ask for M >= 8/s, the contraction ratios for M >= ln(1e6)/s,
 # which keeps that aliasing term below 1e-6 (and bounds nothing else)
 CLEARANCE = 8.0
 CONTRACTION_CLEARANCE = float(np.log(1e6))
+OPERATORS = ("X", "Y+", "Y-", "P+", "P-", "mult")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class RationalTestFunction:
 
     def __call__(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=complex)
-        kernel = 1.0 / (mu[..., None] - self.poles)
-        return np.einsum("...t,tk->...k", kernel, self.coefficients)
+        kernel = 1.0 / (mu.reshape(-1) - self.poles[:, None])  # pole-major
+        return np.einsum("tn,tk->nk", kernel, self.coefficients).reshape(mu.shape + (self.dim,))
 
     def evaluate_on(self, grid: CircleGrid) -> np.ndarray:
         return self(grid.points)
@@ -119,28 +123,54 @@ def weighted_inner(f: RationalTestFunction, g: RationalTestFunction,
     return complex(np.einsum("mk,mkl,ml->", np.conj(gv), samples, fv) / grid.size)
 
 
-def _field_gram(fields: np.ndarray, w_samples: np.ndarray, mask: np.ndarray,
-                size: int) -> np.ndarray:
-    """(1/M) sum over the nodes in mask of (w f_j, f_i), for fields of shape
-    (functions, nodes, k): w f at every node by one batched product, then one
-    product over the (node, component) pairs."""
-    count = fields.shape[0]
-    left = np.where(mask[:, None], fields, 0.0)
-    wf = (w_samples @ left[..., None]).reshape(count, -1)
-    np.conj(left, out=left)
-    gram = left.reshape(count, -1) @ wf.T / size
-    return 0.5 * (gram + gram.conj().T)
+@dataclass(frozen=True)
+class _Corpus:
+    """Rational functions stacked once, sorted by term count: each group of
+    equal count is one (functions, columns, terms) stack of [chi | D0(z) chi]
+    (chi alone unless rotated), so no pole is padded."""
+
+    inverse: np.ndarray  # stacked position of each function
+    poles: np.ndarray
+    groups: list
+    dim: int
+
+    def blocks(self, grid: CircleGrid):
+        """Yield (node block, f, Xf or None), each (nodes, k, functions), from
+        one kernel over all poles and one matmul per group; reused buffers."""
+        count = self.inverse.size
+        width = min(grid.size, 1 << max(0, (BLOCK_VALUES // count).bit_length() - 1))
+        kernel = np.empty((self.poles.size, width), dtype=complex)
+        values = np.empty((count, self.groups[0].shape[1], width), dtype=complex)
+        f = np.empty((width, self.dim, count), dtype=complex)
+        xf = np.empty_like(f) if values.shape[1] > self.dim else None
+        for lo in range(0, grid.size, width):
+            np.subtract(grid.points[lo:lo + width], self.poles[:, None], out=kernel)
+            np.divide(1.0, kernel, out=kernel)
+            row = start = 0
+            for coeffs in self.groups:
+                n, _, terms = coeffs.shape
+                np.matmul(coeffs, kernel[start:start + n * terms].reshape(n, terms, width),
+                          out=values[row:row + n])
+                row, start = row + n, start + n * terms
+            f[...] = values[:, :self.dim].transpose(2, 1, 0)
+            if xf is not None:
+                xf[...] = values[:, self.dim:].transpose(2, 1, 0)
+            yield slice(lo, lo + width), f, xf
 
 
-def _block_norm2(fields: Sequence[np.ndarray], w_samples: np.ndarray) -> np.ndarray:
-    """sum over a node block of (w f, f) per function, from the k components
-    f[a] of shape (functions, nodes) and the block's (nodes, k, k) weight."""
-    dim = len(fields)
-    total = 0.0
-    for a in range(dim):
-        wf = sum(w_samples[:, a, b] * fields[b] for b in range(dim))
-        total = total + (np.conj(fields[a]) * wf).real.sum(axis=1)
-    return total
+def _apply(field: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A (nodes, k, k) field applied node by node to (nodes, k, functions),
+    one column of the field at a time (a batched matmul per node was slower
+    on small corpora and raised the peak resident memory)."""
+    out = field[:, :, :1] * values[:, :1]
+    for c in range(1, field.shape[-1]):
+        out += field[:, :, c:c + 1] * values[:, c:c + 1]
+    return out
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum conj(a) b per function, over nodes and components."""
+    return np.einsum("mkf,mkf->f", a.view(float), b.view(float)).reshape(-1, 2).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -179,6 +209,7 @@ class HardyOperators:
         self.d0_inner = self.companion.d0_plus
         self.d0_outer = np.conj(np.swapaxes(self.d0_inner, -1, -2))
         self.unflagged = self.companion.unflagged
+        self._dampings = {}
 
     @classmethod
     def build(cls, system: DeBrangesSystem, size: int) -> "HardyOperators":
@@ -194,6 +225,20 @@ class HardyOperators:
         if singular.size:
             raise ValueError(f"D0 numerically singular at pole z = {poles[singular[0]]}")
         return (d @ coefficients[:, :, None])[:, :, 0]
+
+    def _stack(self, functions: Sequence[RationalTestFunction], rotate: bool) -> _Corpus:
+        order = sorted(range(len(functions)), key=lambda i: functions[i].poles.size)
+        poles = np.concatenate([functions[i].poles for i in order])
+        coeffs = np.concatenate([functions[i].coefficients for i in order])
+        if rotate:
+            coeffs = np.hstack([coeffs, self._rotate(poles, coeffs)])
+        groups, start = [], 0
+        for terms, run in groupby(functions[i].poles.size for i in order):
+            count = len(list(run))
+            groups.append(np.ascontiguousarray(coeffs[start:start + count * terms].reshape(
+                count, terms, coeffs.shape[1]).transpose(0, 2, 1)))
+            start += count * terms
+        return _Corpus(np.argsort(order), poles, groups, self.system.dim)
 
     def apply_x(self, f: RationalTestFunction) -> RationalTestFunction:
         """Same poles, coefficients rotated by D0 at each pole."""
@@ -235,48 +280,38 @@ class HardyOperators:
         """w0 on the oversampled grid of the quadrature routes, built once."""
         return self.system.weight.field_on(CircleGrid(OVERSAMPLE * self.grid.size))
 
-    def _fine_product(self, f: RationalTestFunction):
-        """(fine grid, w0 f on it, radius offsets eps) for the quadrature routes."""
-        fine = self._w0_fine.grid
-        gv = np.einsum("mkl,ml->mk", self._w0_fine.values, f.evaluate_on(fine))
-        eps0 = QUADRATURE_OFFSET / self.grid.size
-        return fine, gv, (eps0, 2 * eps0, 4 * eps0)
+    def _quadrature(self, f: RationalTestFunction, route: str) -> np.ndarray:
+        """The damped fine spectrum of w0 f, folded onto the M coarse modes
+        and inverted there (one FFT of length M).  The damping, built once per
+        route, is (1 -+ eps)^{+-n} on the P+ or P- modes, or the spectrum of
+        the Hilbert kernel ("H"), combined over the Richardson radii."""
+        fine = self._w0_fine
+        if route not in self._dampings:
+            eps = QUADRATURE_OFFSET / self.grid.size * 2.0 ** np.arange(len(RICHARDSON_WEIGHTS))
+            if route == "H":
+                r, t = (1.0 - eps)[:, None], fine.grid.nodes
+                kernel = 2.0 * np.sin(t) / (1.0 + r * r - 2.0 * r * np.cos(t))
+                self._dampings[route] = np.fft.fft(RICHARDSON_WEIGHTS @ kernel, norm="forward")
+            else:
+                sign = 1.0 if route == "+" else -1.0
+                modes = np.fft.fftfreq(fine.grid.size, 1.0 / fine.grid.size)
+                powers = (1.0 - sign * eps)[:, None] ** (sign * np.abs(modes))
+                self._dampings[route] = np.where((modes >= 0) == (sign > 0),
+                                                 RICHARDSON_WEIGHTS @ powers, 0.0)
+        gv = np.einsum("mkl,ml->mk", fine.values, f.evaluate_on(fine.grid))
+        spectrum = np.fft.fft(gv, axis=0, norm="forward") * self._dampings[route][:, None]
+        folded = spectrum.reshape(OVERSAMPLE, self.grid.size, -1).sum(axis=0)
+        return np.fft.ifft(folded, axis=0, norm="forward")
 
     def project_quadrature(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
-        """Direct quadrature of the defining limit, anchored at r = 1 -+ 10/M.
-
-        The integral at fixed radius is evaluated spectrally on an oversampled
-        grid; three radii (eps, 2 eps, 4 eps) are combined by Richardson
-        extrapolation to reach the limit at second order or better.
-        """
-        fine, gv, radii = self._fine_product(f)
-        ghat = np.fft.fft(gv, axis=0) / fine.size
-        modes = np.fft.fftfreq(fine.size, 1.0 / fine.size).astype(int)
-        acc = np.zeros((fine.size, f.dim), dtype=complex)
-        for eps, cw in zip(radii, RICHARDSON_WEIGHTS):
-            if side == "+":
-                damp = np.where(modes >= 0, (1.0 - eps) ** np.maximum(modes, 0), 0.0)
-            else:
-                damp = np.where(modes < 0, (1.0 + eps) ** np.minimum(modes, 0), 0.0)
-            acc += cw * np.fft.ifft(ghat * damp[:, None], axis=0) * fine.size
-        return acc[::OVERSAMPLE]
+        """Direct quadrature of the defining limit at r = 1 -+ eps, spectral on
+        the oversampled grid, Richardson-combined over eps, 2 eps, 4 eps, 8 eps."""
+        return self._quadrature(f, side)
 
     def hilbert_quadrature(self, f: RationalTestFunction) -> np.ndarray:
         """Convolution against the kernel 2 sin(theta-t)/(1+r^2-2r cos(theta-t))
-        at r = 1 - 10/M, Richardson-extrapolated over r.
-
-        The trapezoid sum over the oversampled grid is one circular
-        convolution there, done by FFT and read off at the coarse nodes.
-        """
-        fine, gv, radii = self._fine_product(f)
-        sin_lag = np.sin(fine.nodes)
-        cos_lag = np.cos(fine.nodes)
-        kernel = np.zeros(fine.size)
-        for eps, cw in zip(radii, RICHARDSON_WEIGHTS):
-            r = 1.0 - eps
-            kernel += cw * 2.0 * sin_lag / (1.0 + r * r - 2.0 * r * cos_lag)
-        spectrum = np.fft.fft(kernel)[:, None] * np.fft.fft(gv, axis=0)
-        return np.fft.ifft(spectrum, axis=0)[::OVERSAMPLE] / fine.size
+        at r = 1 - eps on the oversampled grid, Richardson-combined like P+."""
+        return self._quadrature(f, "H")
 
     # -- bilinear identities ---------------------------------------------
 
@@ -285,56 +320,62 @@ class HardyOperators:
         """w0 on the quadrature grid of the Gram identity, built once."""
         return self.system.weight.field_on(CircleGrid(max(1024, self.grid.size)))
 
-    def gram_identity_residual(self, z1: complex, z2: complex) -> float:
+    def gram_identity_residual(self, z1, z2):
         """Residual of the two-point Gram identity: the w0-side quadrature of
         1/((e^{-it} - conj(z2))(e^{it} - z1)) against the psi1-side expression
-        D0(z2)* (psi1(z1) - psi1(z2)*) / (2i (1 - z1 conj(z2))) D0(z1)."""
-        z1 = complex(z1)
-        z2 = complex(z2)
+        D0(z2)* (psi1(z1) - psi1(z2)*) / (2i (1 - z1 conj(z2))) D0(z1).  For
+        arrays of pairs, one residual per pair from one quadrature and one
+        evaluation of D0 and psi1 over all points."""
+        z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
         denom = 1.0 - z1 * np.conj(z2)
-        if abs(denom) < 1e-12:
+        if np.any(np.abs(denom) < 1e-12):
             raise ValueError("pair lies on the reflection locus z1 conj(z2) = 1")
-        lhs = pair_kernel_quadrature(z1, z2, self._pair_field)
-        p1 = self.system.psi1(z1)
-        p2 = self.system.psi1(z2)
-        core = (p1 - p2.conj().T) / (2j * denom)
-        rhs = self.system.d0(z2).conj().T @ core @ self.system.d0(z1)
-        return float(np.linalg.norm(lhs - rhs, 2))
+        points = np.stack([z1, z2])
+        (p1, p2), (d1, d2) = self.system.psi1(points), self.system.d0(points)
+        core = (p1 - np.conj(np.swapaxes(p2, -1, -2))) / (2j * denom[..., None, None])
+        rhs = np.conj(np.swapaxes(d2, -1, -2)) @ core @ d1
+        residual = np.linalg.norm(pair_kernel_quadrature(z1, z2, self._pair_field) - rhs, 2,
+                                  axis=(-2, -1))
+        return float(residual) if residual.ndim == 0 else residual
 
     def x_gram_residual(self, basis: Sequence[RationalTestFunction]) -> np.ndarray:
         """gram0 - gram1 for the operator X; zero when nu1 is purely a.c."""
         data = self.gram_data("X", basis)
         return data.gram0 - data.gram1
 
-    # -- Galerkin norm estimation -----------------------------------------
+    def x_sup(self, basis: Sequence[RationalTestFunction], grid: CircleGrid) -> np.ndarray:
+        """max over the nodes of grid of |Xf|^2, per function of basis."""
+        corpus = self._stack(basis, rotate=True)
+        sup = np.zeros(len(basis))
+        for _, _, xf in corpus.blocks(grid):
+            sup = np.maximum(sup, (xf.real ** 2 + xf.imag ** 2).sum(axis=1).max(axis=0))
+        return sup[corpus.inverse]
 
-    def _image_fields(self, op: str, basis: Sequence[RationalTestFunction]) -> np.ndarray:
-        images = []
-        for f in basis:
-            if op == "X":
-                images.append(self.apply_x(f).evaluate_on(self.grid))
-            elif op in ("Y+", "Y-"):
-                images.append(self.apply_y(f, op[1]))
-            elif op in ("P+", "P-"):
-                images.append(self.project(f, op[1]))
-            elif op == "mult":
-                images.append(np.einsum("mkl,ml->mk",
-                                        self.w0_samples, f.evaluate_on(self.grid)))
-            else:
-                raise ValueError(f"unknown operator {op!r}")
-        return np.stack(images)
+    # -- Galerkin norm estimation -----------------------------------------
 
     def gram_data(self, op: str, basis: Sequence[RationalTestFunction]) -> GramData:
         """Source Gram in L2(w0) and image Gram in L2(w1), both restricted to
-        unflagged nodes so the isometries close exactly on the grid."""
-        for f in basis:
-            _check_clearance(f.standoff, self.grid)
-        sources = np.stack([f.evaluate_on(self.grid) for f in basis])
-        m = self.grid.size
-        gram0 = _field_gram(sources, self.w0_samples, self.unflagged, m)
-        images = self._image_fields(op, basis)
-        gram1 = _field_gram(images, self.w1_samples, self.unflagged, m)
-        return GramData(basis=tuple(basis), gram0=gram0, gram1=gram1)
+        unflagged nodes (w0 zeroed there, as w1 is) so the isometries close
+        exactly on the grid; one node-block pass over the stacked basis."""
+        if op not in OPERATORS:
+            raise ValueError(f"unknown operator {op!r}")
+        _check_clearance(min(f.standoff for f in basis), self.grid)
+        corpus = self._stack(basis, rotate=op in ("X", "P+", "P-"))
+        w0 = np.where(self.unflagged[:, None, None], self.w0_samples, 0.0)
+        grams = [0.0, 0.0]
+        for block, f, xf in corpus.blocks(self.grid):
+            image = xf
+            if op == "mult":
+                image = _apply(self.w0_samples[block], f)
+            elif op != "X":
+                image = _apply((self.d0_inner if op[1] == "+" else self.d0_outer)[block], f)
+                if op[0] == "P":
+                    image = (0.5j if op[1] == "+" else -0.5j) * (xf - image)
+            for i, (v, w) in enumerate(((f, w0), (image, self.w1_samples))):
+                grams[i] = grams[i] + np.tensordot(v.conj(), _apply(w[block], v), ([0, 1], [0, 1]))
+        pick = np.ix_(corpus.inverse, corpus.inverse)
+        gram0, gram1 = (0.5 * (g[pick] + g[pick].conj().T) / self.grid.size for g in grams)
+        return GramData(tuple(basis), gram0, gram1)
 
     def norm_estimate(self, op: str, basis: Sequence[RationalTestFunction]) -> float:
         """Lower bound for the squared operator norm on span(basis)."""
@@ -349,38 +390,15 @@ class HardyOperators:
         for the smallest standoff in the corpus, else ValueError.  That is
         the only error the guard bounds: the numerators also drop the
         flagged nodes, an O(1/M) error of its own (about 9e-7 in W_COS's P+
-        ratio at M = 4096).  The corpus is stacked once (poles padded with
-        zero coefficients, X applied to all poles at once) and the grid is
-        walked once in blocks of NODE_BLOCK nodes, where one
-        product of the kernel 1/(mu - z) with [chi | D0(z) chi] gives f and
-        Xf for both sides; no grid-sized array per function is formed.
-        """
-        _check_clearance(min(f.standoff for f in functions), self.grid,
-                         CONTRACTION_CLEARANCE)
-        dim = self.system.dim
-        counts = np.array([f.poles.size for f in functions])
-        present = np.arange(counts.max()) < counts[:, None]
-        poles = np.zeros(present.shape, dtype=complex)
-        poles[present] = np.concatenate([f.poles for f in functions])
-        coeffs = np.zeros(present.shape + (2 * dim,), dtype=complex)
-        coeffs[present, :dim] = np.concatenate([f.coefficients for f in functions])
-        coeffs[present, dim:] = self._rotate(poles[present], coeffs[present, :dim])
-
-        sides = ((self.d0_inner, 0.5j), (self.d0_outer, -0.5j))
-        num = np.zeros((len(sides), len(functions)))
-        den = np.zeros(len(functions))
-        for lo in range(0, self.grid.size, NODE_BLOCK):
-            block = slice(lo, lo + NODE_BLOCK)
-            kernel = np.reciprocal(self.grid.points[block, None] - poles[:, None, :])
-            values = kernel @ coeffs
-            source = [values[:, :, a] for a in range(dim)]
-            keep = self.unflagged[block]
-            for row, (mult, sign) in enumerate(sides):
-                y = mult[block]
-                image = []
-                for a in range(dim):
-                    yf = sum(y[:, a, b] * source[b] for b in range(dim))
-                    image.append(np.where(keep, sign * (values[:, :, dim + a] - yf), 0.0))
-                num[row] += _block_norm2(image, self.w1_samples[block])
-            den += _block_norm2(source, self.w0_samples[block])
-        return num / den
+        ratio at M = 4096).  One node-block pass over the stacked corpus; no
+        grid-sized array per function is formed."""
+        _check_clearance(min(f.standoff for f in functions), self.grid, CONTRACTION_CLEARANCE)
+        corpus = self._stack(functions, rotate=True)
+        num, den = np.zeros((2, len(functions))), np.zeros(len(functions))
+        for block, f, xf in corpus.blocks(self.grid):
+            for row, mult in enumerate((self.d0_inner, self.d0_outer)):
+                image = _apply(mult[block], f)
+                np.subtract(xf, image, out=image)  # P+- f over +-i/2, exactly
+                num[row] += _real_dot(image, _apply(self.w1_samples[block], image))
+            den += _real_dot(f, _apply(self.w0_samples[block], f))
+        return (0.25 * num / den)[:, corpus.inverse]

@@ -118,9 +118,11 @@ def psi_quadrature(z: complex, field: MatrixSampleField) -> np.ndarray:
     return 1j * np.einsum("m,mab->ab", kernel, field.values) / field.grid.size
 
 
-def pair_kernel_quadrature(z1: complex, z2: complex,
-                           field: MatrixSampleField) -> np.ndarray:
-    """Quadrature of integral dnu / ((e^{-it} - conj(z2)) (e^{it} - z1))."""
+def pair_kernel_quadrature(z1, z2, field: MatrixSampleField) -> np.ndarray:
+    """Quadrature of integral dnu / ((e^{-it} - conj(z2)) (e^{it} - z1)), at a
+    pair or at each pair of two equal-shape arrays (output z1.shape + (k, k))."""
     mu = field.grid.points
+    z1 = np.asarray(z1)[..., None]
+    z2 = np.asarray(z2)[..., None]
     kernel = 1.0 / ((np.conj(mu) - np.conj(z2)) * (mu - z1))
-    return np.einsum("m,mab->ab", kernel, field.values) / field.grid.size
+    return np.einsum("...m,mab->...ab", kernel, field.values) / field.grid.size

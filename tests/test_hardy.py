@@ -5,8 +5,8 @@ import pytest
 
 from twoweight import hardy
 from twoweight.circle import CircleGrid
-from twoweight.debranges import build_system
-from twoweight.hardy import (HardyOperators, RationalTestFunction,
+from twoweight.debranges import DeBrangesSystem, build_system
+from twoweight.hardy import (OPERATORS, HardyOperators, RationalTestFunction,
                              gram_norm_estimate, random_test_functions,
                              weighted_inner)
 from twoweight.weights import fixture, random_polynomial_weight
@@ -121,31 +121,115 @@ def test_contraction_on_fixtures():
         assert ratios.max() <= 1.0 + 1e-6, name
 
 
+# -- per-function references for the corpus routes ---------------------------
+
+def _reference_fields(ops, f, grid=None):
+    """f and Xf on a grid, one function at a time: the kernel 1/(mu - z)
+    node-major, and D0 evaluated pole by pole."""
+    kernel = 1.0 / ((grid or ops.grid).points[:, None] - f.poles)
+    rotated = np.array([ops.system.d0(complex(z)) @ chi
+                        for z, chi in zip(f.poles, f.coefficients)])
+    return kernel @ f.coefficients, kernel @ rotated.reshape(f.coefficients.shape)
+
+
+def _reference_image(ops, op, f):
+    values, xf = _reference_fields(ops, f)
+    if op == "X":
+        return xf
+    if op == "mult":
+        return np.einsum("mkl,ml->mk", ops.w0_samples, values)
+    mult = ops.d0_inner if op[1] == "+" else np.conj(np.swapaxes(ops.d0_inner, -1, -2))
+    yf = np.einsum("mkl,ml->mk", mult, values)
+    return yf if op[0] == "Y" else (0.5j if op[1] == "+" else -0.5j) * (xf - yf)
+
+
 def _reference_ratios(ops, functions, side):
-    """Per-function ratios from project() and full-grid norms."""
-    keep = ops.unflagged[:, None, None]
-    sources = np.stack([f.evaluate_on(ops.grid) for f in functions], axis=1)
-    images = np.stack([ops.project(f, side) for f in functions], axis=1)
-    images = np.where(keep, images, 0.0)
-    num = np.einsum("mbk,mkl,mbl->b", np.conj(images), ops.w1_samples, images).real
-    den = np.einsum("mbk,mkl,mbl->b", np.conj(sources), ops.w0_samples, sources).real
-    return num / den
+    keep = ops.unflagged
+    ratios = []
+    for f in functions:
+        source = _reference_fields(ops, f)[0]
+        image = _reference_image(ops, "P" + side, f)[keep]
+        num = np.einsum("mk,mkl,ml->", np.conj(image), ops.w1_samples[keep], image).real
+        den = np.einsum("mk,mkl,ml->", np.conj(source), ops.w0_samples, source).real
+        ratios.append(num / den)
+    return np.array(ratios)
+
+
+def _reference_gram(ops, op, basis):
+    keep = ops.unflagged
+    sources = np.stack([_reference_fields(ops, f)[0][keep] for f in basis])
+    images = np.stack([_reference_image(ops, op, f)[keep] for f in basis])
+    grams = []
+    for fields, w in ((sources, ops.w0_samples), (images, ops.w1_samples)):
+        gram = np.einsum("imk,mkl,jml->ij", np.conj(fields), w[keep], fields) / ops.grid.size
+        grams.append(0.5 * (gram + gram.conj().T))
+    return grams
+
+
+def _weights_under_test():
+    weights = [fixture(name) for name in ("W_CONST", "W_COS", "W_DIAG", "W_RANK1")]
+    return weights + [random_polynomial_weight(np.random.default_rng(7), 3)]
 
 
 def test_contraction_ratios_match_per_function_reference():
     rng = np.random.default_rng(2024)
-    weights = [fixture(name) for name in ("W_CONST", "W_COS", "W_DIAG", "W_RANK1")]
-    weights.append(random_polynomial_weight(np.random.default_rng(7), 3))
-    for w in weights:
+    for w in _weights_under_test():
         ops = HardyOperators.build(build_system(w), 4096)
         dim = ops.system.dim
+        five = RationalTestFunction(np.array([1.5, 0.5j, -0.7, 1.2j, 0.9 - 0.9j]),
+                                    np.ones((5, dim)))
+        # one-term and five-term functions side by side exercise the grouping
         funcs = (random_test_functions(rng, 4, dim, max_terms=1)
-                 + random_test_functions(rng, 12, dim, max_terms=5))
-        # one-term and five-term functions side by side exercise the padding
-        assert {1, 5} <= {f.poles.size for f in funcs}
+                 + random_test_functions(rng, 12, dim, max_terms=5) + [five])
         for side, ratios in zip(("+", "-"), ops.contraction_ratios(funcs)):
             reference = _reference_ratios(ops, funcs, side)
-            assert np.abs(ratios - reference).max() <= 1e-12 * reference.max(), (dim, side)
+            assert np.abs(ratios - reference).max() <= 1e-13 * reference.max(), (dim, side)
+
+
+def test_gram_data_matches_per_function_reference():
+    rng = np.random.default_rng(2025)
+    for w in _weights_under_test():
+        ops = HardyOperators.build(build_system(w), 1024)
+        for count in (8, 40):
+            basis = random_test_functions(rng, count, ops.system.dim)
+            for op in OPERATORS:
+                data = ops.gram_data(op, basis)
+                for got, want in zip((data.gram0, data.gram1), _reference_gram(ops, op, basis)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (op, count)
+
+
+def test_x_sup_matches_per_function_reference():
+    rng = np.random.default_rng(2026)
+    fine = CircleGrid(16384)
+    for w in _weights_under_test():
+        ops = HardyOperators.build(build_system(w), 4096)
+        basis = random_test_functions(rng, 8, ops.system.dim)
+        reference = np.array([(np.abs(_reference_fields(ops, f, fine)[1]) ** 2).sum(axis=1).max()
+                              for f in basis])
+        assert np.abs(ops.x_sup(basis, fine) - reference).max() <= 1e-13 * reference.max()
+
+
+def test_corpus_routes_evaluate_d0_once(monkeypatch):
+    """Each corpus route evaluates D0 once, at every pole of the corpus, when
+    it needs X, and not at all otherwise."""
+    ops = _ops("W_DIAG", 2048)
+    funcs = random_test_functions(np.random.default_rng(3), 40, 2)
+    poles = sum(f.poles.size for f in funcs)
+    calls = []
+    d0 = DeBrangesSystem.d0
+
+    def counting_d0(self, z):
+        calls.append(np.size(z))
+        return d0(self, z)
+
+    monkeypatch.setattr(DeBrangesSystem, "d0", counting_d0)
+    routes = {op: (lambda op=op: ops.gram_data(op, funcs)) for op in OPERATORS}
+    routes["contraction"] = lambda: ops.contraction_ratios(funcs)
+    routes["x_sup"] = lambda: ops.x_sup(funcs, CircleGrid(4096))
+    for name, route in routes.items():
+        calls.clear()
+        route()
+        assert calls == ([] if name in ("Y+", "Y-", "mult") else [poles]), name
 
 
 def test_contraction_ratios_require_grid_clearance():

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,6 +240,24 @@ def test_suite_traced_peak_stays_small():
         tracemalloc.stop()
     assert report.passed
     assert peak <= 12e6, peak
+
+
+def test_quadrature_rows_pass_across_seeds():
+    """The projection and Hilbert quadrature rows hold 200/M^2 on every
+    fixture at suite seeds 0..199 and 502245490; the operators are built
+    once and handed to the rows."""
+    size = verify.QUADRATURE_GRID
+    ops = {(fx, size): HardyOperators.build(build_system(fixture(fx)), size)
+           for fx in FIXTURE_NAMES}
+    ctx = SimpleNamespace(ops=lambda fx, grid_size: ops[fx, grid_size])
+    rows = (("hardy.projection_vs_quadrature", verify._check_projection_vs_quadrature),
+            ("hardy.hilbert_vs_quadrature", verify._check_hilbert_vs_quadrature))
+    for seed in [*range(200), 502245490]:
+        for fx in FIXTURE_NAMES:
+            for base, check in rows:
+                name = f"{base}[{fx}]"
+                value = check(fx, ctx, verify._rng_for(seed, name))
+                assert value <= 200.0 / size ** 2, (seed, name, value)
 
 
 def test_run_weight_checks_rejects_fixture_label():
