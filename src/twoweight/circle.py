@@ -106,15 +106,6 @@ class FourierSeries:
     orders: np.ndarray
     coeffs: np.ndarray
 
-    def coefficient(self, n: int) -> np.ndarray:
-        """Coefficient of order n; zero matrix for orders outside the range."""
-        lo = int(self.orders[0])
-        hi = int(self.orders[-1])
-        if n < lo or n > hi:
-            k = self.coeffs.shape[1]
-            return np.zeros((k, k), dtype=complex)
-        return self.coeffs[n - lo]
-
     def synthesize(self, grid: CircleGrid) -> MatrixSampleField:
         """Inverse transform back onto a grid of the same size."""
         if grid.size != self.coeffs.shape[0]:
@@ -124,9 +115,8 @@ class FourierSeries:
         return MatrixSampleField(grid, synthesize_series(spectrum, grid))
 
 
-def synthesize_series(coeffs: np.ndarray, grid: CircleGrid,
-                      radius: float = 1.0) -> np.ndarray:
-    """sum_{n=0}^{d} c_n r^n e^{i n theta_m} on every node by one inverse FFT.
+def synthesize_series(coeffs: np.ndarray, grid: CircleGrid) -> np.ndarray:
+    """sum_{n=0}^{d} c_n e^{i n theta_m} on every node by one inverse FFT.
 
     coeffs has orders 0..d along axis 0; d < M keeps every order distinct.
     """
@@ -136,8 +126,6 @@ def synthesize_series(coeffs: np.ndarray, grid: CircleGrid,
         raise ValueError("grid too coarse for the series degree")
     spec = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
     spec[:d + 1] = coeffs
-    damping = radius ** np.arange(1.0, d + 1.0)
-    spec[1:d + 1] *= damping.reshape((d,) + (1,) * (coeffs.ndim - 1))
     return np.fft.ifft(spec, axis=0) * m
 
 

@@ -34,10 +34,6 @@ def _cond_and_norm(values: np.ndarray):
     return cond, norm
 
 
-def _cond_batch(values: np.ndarray) -> np.ndarray:
-    return _cond_and_norm(values)[0]
-
-
 @dataclass(frozen=True)
 class CompanionWeightResult:
     """Companion weight on a grid with per-node diagnostics.
@@ -81,22 +77,22 @@ class DeBrangesSystem:
         return self.gg_star.shape[0]
 
     def d0(self, z) -> np.ndarray:
-        """alpha + psi0 at a point, or at each point of an array of points."""
-        return self.alpha + self.psi0.psi(z)
-
-    def psi1(self, z) -> np.ndarray:
-        """alpha - D0^-1 at a point, or at each point of an array of points,
+        """alpha + psi0 at a point, or at each point of an array of points,
         behind one condition guard."""
-        d = self.d0(z)
-        singular = np.flatnonzero(_cond_batch(d) > COND_CUTOFF)
+        d = self.alpha + self.psi0.psi(z)
+        singular = np.flatnonzero(_cond_and_norm(d)[0] > COND_CUTOFF)
         if singular.size:
             raise ValueError(f"D0 numerically singular at z = {np.ravel(z)[singular[0]]}")
-        return self.alpha - np.linalg.inv(d)
+        return d
+
+    def psi1(self, z) -> np.ndarray:
+        """alpha - D0^-1 at a point, or at each point of an array of points."""
+        return self.alpha - np.linalg.inv(self.d0(z))
 
     def boundary_profile(self, grid: CircleGrid):
         """D0+ values, their condition numbers and their operator norms on
         all grid nodes."""
-        values = self.alpha + self.psi0.ring_values(1.0, grid)
+        values = self.alpha + self.psi0.ring_values(grid)
         return (values, *_cond_and_norm(values))
 
     def companion_weight(self, grid: CircleGrid) -> CompanionWeightResult:

@@ -11,9 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from .circle import CircleGrid, MatrixSampleField, TWO_PI
-from .debranges import COND_CUTOFF, DeBrangesSystem, _cond_batch
+from .debranges import DeBrangesSystem
 from .herglotz import pair_kernel_quadrature
-from .weights import MatrixWeight
 
 DELTA_POLE = 1e-3
 # the quadrature routes sample w0 f on an OVERSAMPLE-times finer grid and
@@ -69,9 +68,6 @@ class RationalTestFunction:
         kernel = 1.0 / (mu.reshape(-1) - self.poles[:, None])  # pole-major
         return np.einsum("tn,tk->nk", kernel, self.coefficients).reshape(mu.shape + (self.dim,))
 
-    def evaluate_on(self, grid: CircleGrid) -> np.ndarray:
-        return self(grid.points)
-
     def __add__(self, other: "RationalTestFunction") -> "RationalTestFunction":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -108,19 +104,6 @@ def _check_clearance(standoff: float, grid: CircleGrid,
                      clearance: float = CLEARANCE) -> None:
     if grid.size < int(np.ceil(clearance / standoff)):
         raise ValueError("pole too close to the circle for this grid")
-
-
-def weighted_inner(f: RationalTestFunction, g: RationalTestFunction,
-                   w: MatrixWeight, grid: CircleGrid) -> complex:
-    """(1/M) sum_m (w(theta_m) f(e^{i theta_m}), g(e^{i theta_m})).
-
-    The grid must resolve the poles: M >= 8/standoff.
-    """
-    _check_clearance(min(f.standoff, g.standoff), grid)
-    samples = w.samples_on(grid)
-    fv = f.evaluate_on(grid)
-    gv = g.evaluate_on(grid)
-    return complex(np.einsum("mk,mkl,ml->", np.conj(gv), samples, fv) / grid.size)
 
 
 @dataclass(frozen=True)
@@ -218,13 +201,9 @@ class HardyOperators:
     # -- pointwise operators --------------------------------------------
 
     def _rotate(self, poles: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """D0(z_t) chi_t for every pole z_t, from one evaluation of D0 at all
-        poles behind one condition guard."""
-        d = self.system.d0(poles)
-        singular = np.flatnonzero(_cond_batch(d) > COND_CUTOFF)
-        if singular.size:
-            raise ValueError(f"D0 numerically singular at pole z = {poles[singular[0]]}")
-        return (d @ coefficients[:, :, None])[:, :, 0]
+        """D0(z_t) chi_t for every pole z_t, from one guarded evaluation of D0
+        at all poles."""
+        return (self.system.d0(poles) @ coefficients[:, :, None])[:, :, 0]
 
     def _stack(self, functions: Sequence[RationalTestFunction], rotate: bool) -> _Corpus:
         order = sorted(range(len(functions)), key=lambda i: functions[i].poles.size)
@@ -244,33 +223,46 @@ class HardyOperators:
         """Same poles, coefficients rotated by D0 at each pole."""
         return RationalTestFunction(f.poles.copy(), self._rotate(f.poles, f.coefficients))
 
+    def _fields(self, f: RationalTestFunction, grid: CircleGrid, rotate: bool = True):
+        """f and Xf (None unless rotate) on every node of grid, (nodes, k, 1)
+        each, from one pass over the one-function corpus [f]."""
+        fv = np.empty((grid.size, f.dim, 1), dtype=complex)
+        xv = np.empty_like(fv) if rotate else None
+        for block, f_block, xf_block in self._stack([f], rotate).blocks(grid):
+            fv[block] = f_block
+            if rotate:
+                xv[block] = xf_block
+        return fv, xv
+
+    def _project(self, side: str, f: np.ndarray, xf: np.ndarray,
+                 block=slice(None)) -> np.ndarray:
+        """+-(i/2)(Xf - Y_+- f) on a node block, from f and Xf there."""
+        sign, mult = (1.0, self.d0_inner) if side == "+" else (-1.0, self.d0_outer)
+        return sign * 0.5j * (xf - _apply(mult[block], f))
+
     def apply_y(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
         """D0^{+-}(theta) f(e^{i theta}) at grid nodes; flagged rows zeroed."""
         mult = self.d0_inner if side == "+" else self.d0_outer
-        field = np.einsum("mkl,ml->mk", mult, f.evaluate_on(self.grid))
-        return np.where(self.unflagged[:, None], field, 0.0)
+        field = _apply(mult, self._fields(f, self.grid, rotate=False)[0])
+        return np.where(self.unflagged[:, None], field[..., 0], 0.0)
 
     def project(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
         """+-(i/2)((Xf)(theta) - (Y_+- f)(theta)); flagged rows zeroed."""
-        sign = 1.0 if side == "+" else -1.0
-        xf = self.apply_x(f).evaluate_on(self.grid)
-        out = sign * 0.5j * (xf - self.apply_y(f, side))
-        return np.where(self.unflagged[:, None], out, 0.0)
+        out = self._project(side, *self._fields(f, self.grid))
+        return np.where(self.unflagged[:, None], out[..., 0], 0.0)
 
     def hilbert(self, f: RationalTestFunction) -> np.ndarray:
         """-i(P+ - P-)f + i * mean(w0 f); flagged rows zeroed."""
-        plus = self.project(f, "+")
-        minus = self.project(f, "-")
-        w0f = np.einsum("mkl,ml->mk", self.w0_samples, f.evaluate_on(self.grid))
-        mean = w0f.mean(axis=0)
-        out = -1j * (plus - minus) + 1j * mean
-        return np.where(self.unflagged[:, None], out, 0.0)
+        fv, xv = self._fields(f, self.grid)
+        mean = _apply(self.w0_samples, fv).mean(axis=0)
+        out = -1j * (self._project("+", fv, xv) - self._project("-", fv, xv)) + 1j * mean
+        return np.where(self.unflagged[:, None], out[..., 0], 0.0)
 
     def multiplication_residual(self, f: RationalTestFunction) -> float:
         """max over unflagged nodes of ||(P+ f + P- f)(theta) - w0(theta) f||."""
-        total = self.project(f, "+") + self.project(f, "-")
-        w0f = np.einsum("mkl,ml->mk", self.w0_samples, f.evaluate_on(self.grid))
-        diff = np.linalg.norm(total - w0f, axis=1)
+        fv, xv = self._fields(f, self.grid)
+        total = self._project("+", fv, xv) + self._project("-", fv, xv)
+        diff = np.linalg.norm((total - _apply(self.w0_samples, fv))[..., 0], axis=1)
         return float(diff[self.unflagged].max())
 
     # -- quadrature cross-check routes -----------------------------------
@@ -298,7 +290,7 @@ class HardyOperators:
                 powers = (1.0 - sign * eps)[:, None] ** (sign * np.abs(modes))
                 self._dampings[route] = np.where((modes >= 0) == (sign > 0),
                                                  RICHARDSON_WEIGHTS @ powers, 0.0)
-        gv = np.einsum("mkl,ml->mk", fine.values, f.evaluate_on(fine.grid))
+        gv = _apply(fine.values, self._fields(f, fine.grid, rotate=False)[0])[..., 0]
         spectrum = np.fft.fft(gv, axis=0, norm="forward") * self._dampings[route][:, None]
         folded = spectrum.reshape(OVERSAMPLE, self.grid.size, -1).sum(axis=0)
         return np.fft.ifft(folded, axis=0, norm="forward")
@@ -367,10 +359,10 @@ class HardyOperators:
             image = xf
             if op == "mult":
                 image = _apply(self.w0_samples[block], f)
+            elif op[0] == "P":
+                image = self._project(op[1], f, xf, block)
             elif op != "X":
                 image = _apply((self.d0_inner if op[1] == "+" else self.d0_outer)[block], f)
-                if op[0] == "P":
-                    image = (0.5j if op[1] == "+" else -0.5j) * (xf - image)
             for i, (v, w) in enumerate(((f, w0), (image, self.w1_samples))):
                 grams[i] = grams[i] + np.tensordot(v.conj(), _apply(w[block], v), ([0, 1], [0, 1]))
         pick = np.ix_(corpus.inverse, corpus.inverse)

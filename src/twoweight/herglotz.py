@@ -96,18 +96,10 @@ class HerglotzEvaluator:
         inner = 1j * evaluate_series(self.series, np.exp(1j * np.asarray(theta, dtype=float)))
         return inner if side == "inner" else _adjoint(inner)
 
-    def ring_values(self, r: float, grid: CircleGrid) -> np.ndarray:
-        """psi(r e^{i theta_m}) on all grid nodes at once via an inverse FFT.
-
-        r <= 1 synthesizes iF on the ring (r = 1 gives the exact inner
-        boundary profile); r > 1 reflects the ring at radius 1/r.  Equivalent
-        to the pointwise series but O(M log M) in the grid size.
-        """
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        if r > 1.0:
-            return _adjoint(self.ring_values(1.0 / r, grid))
-        return 1j * synthesize_series(self.series, grid, r)
+    def ring_values(self, grid: CircleGrid) -> np.ndarray:
+        """The inner boundary profile iF(e^{i theta_m}) on all grid nodes at
+        once via an inverse FFT: boundary_profile's values in O(M log M)."""
+        return 1j * synthesize_series(self.series, grid)
 
 
 def psi_quadrature(z: complex, field: MatrixSampleField) -> np.ndarray:

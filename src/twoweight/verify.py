@@ -21,7 +21,7 @@ from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean,
                      fourier_coefficients, next_power_of_two, poisson_kernel)
 from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
 from .hardy import (HardyOperators, RationalTestFunction, gram_norm_estimate,
-                    random_test_functions, weighted_inner)
+                    random_test_functions)
 from .herglotz import pair_kernel_quadrature, psi_quadrature, radial_limit
 from .model import (build_model, cross_validate, intertwine_residual,
                     model_identity_residual, spectral_nu1)
@@ -139,6 +139,11 @@ def parse_report(text: str) -> Report:
 
 # -- suite configuration ---------------------------------------------------
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = DEFAULT_SEED
@@ -148,8 +153,7 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
         fx = tuple(self.fixtures)
         for name in fx:
             if name not in FIXTURE_NAMES:
@@ -389,7 +393,7 @@ def _check_herglotz_positivity(fx, ctx, rng):
 def _check_herglotz_jump(fx, ctx, rng):
     w = ctx.weight(fx)
     grid = CircleGrid(max(ctx.config.grid_size, w.natural_grid().size))
-    inner = ctx.system(fx).psi0.ring_values(1.0, grid)
+    inner = ctx.system(fx).psi0.ring_values(grid)
     jump = (inner - np.conj(np.swapaxes(inner, -1, -2))) / 2j
     return float(np.abs(jump - w.samples_on(grid)).max())
 
@@ -658,16 +662,14 @@ def _check_projection_closed_forms(ctx, rng):
 
 
 def _check_inner_closed_forms(ctx, rng):
-    w = ctx.weight("W_CONST")
+    ops = ctx.ops("W_CONST", ctx.config.grid_size)
     chi = np.ones((1, 1))
     f0 = RationalTestFunction(np.array([0.0 + 0.0j]), chi)
     f2 = RationalTestFunction(np.array([2.0 + 0.0j]), chi)
     fz = RationalTestFunction(np.array([2.0 + 0.0j]), np.zeros((1, 1)))
-    grid = CircleGrid(ctx.config.grid_size)
-    worst = abs(weighted_inner(f0, f0, w, grid) - 1.0)
-    worst = max(worst, abs(weighted_inner(f2, f2, w, grid) - 1.0 / 3.0))
-    worst = max(worst, abs(weighted_inner(fz, fz, w, grid)))
-    return float(worst)
+    # the source Gram of an operator that does not rotate: (w0 f_i, f_j)
+    gram = ops.gram_data("mult", [f0, f2, fz]).gram0
+    return float(np.abs(gram.diagonal() - np.array([1.0, 1.0 / 3.0, 0.0])).max())
 
 
 def _check_hilbert_vs_quadrature(fx, ctx, rng):
@@ -991,6 +993,9 @@ def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
     the contraction inequality scale by the same c under the substitution
     g = u f.  Samples of +inf in v0 are legal (zeros of the inverse weight).
     """
+    _check_seed(seed)
+    if basis_size < 1:
+        raise ValueError("basis_size must be >= 1")
     samples = _as_scalar_samples(v0, grid)
     w0, constant = koosis_transform(samples, grid)
     system = build_system(w0)
@@ -1007,13 +1012,13 @@ def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
 
     rng = np.random.default_rng([int(seed), zlib.crc32(b"koosis-basis")])
     basis = random_test_functions(rng, basis_size, 1, standoff_range=(0.05, 0.9))
-    fields = np.stack([f.evaluate_on(grid)[:, 0] for f in basis], axis=1)
+    fields = np.stack([f(grid.points)[:, 0] for f in basis], axis=1)
     images = np.zeros_like(fields)
     for i, f in enumerate(basis):
         keep = _outside_pole_mask(f)
         if np.any(keep):
             part = RationalTestFunction(f.poles[keep], f.coefficients[keep])
-            images[:, i] = part.evaluate_on(grid)[:, 0]
+            images[:, i] = part(grid.points)[:, 0]
     weight0 = np.where(usable, samples, 0.0)
     weight1 = np.where(usable, v1, 0.0)
     gram0 = (fields.conj().T * weight0) @ fields / grid.size

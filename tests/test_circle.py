@@ -46,11 +46,12 @@ def test_fourier_coefficients_match_direct_sum():
     values = (np.cos(grid.nodes) + 2.0)[:, None, None] * np.eye(1)
     series = fourier_coefficients(MatrixSampleField(grid, values))
     # cos has coefficients 1/2 at orders +-1, constant 2 at order 0
-    assert abs(series.coefficient(0)[0, 0] - 2.0) < 1e-14
-    assert abs(series.coefficient(1)[0, 0] - 0.5) < 1e-14
-    assert abs(series.coefficient(-1)[0, 0] - 0.5) < 1e-14
-    assert series.coefficient(100).shape == (1, 1)
-    assert np.all(series.coefficient(100) == 0.0)
+    assert list(series.orders) == list(range(-8, 8))
+    assert series.coeffs.shape == (16, 1, 1)
+    expected = np.zeros(16)
+    expected[series.orders == 0] = 2.0
+    expected[np.abs(series.orders) == 1] = 0.5
+    assert np.abs(series.coeffs[:, 0, 0] - expected).max() < 1e-14
 
 
 def test_synthesize_rejects_size_mismatch():

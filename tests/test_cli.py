@@ -350,6 +350,21 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--basis-size", "0", "basis_size must be >= 1"),
+    ("--basis-size", "-2", "basis_size must be >= 1"),
+    ("--seed", "-1", "seed must be a nonnegative integer"),
+])
+def test_scalar_bad_arguments_exit_two_naming_the_field(tmp_path, flag, value, message):
+    out = tmp_path / "never.csv"
+    done = subprocess.run([sys.executable, "-m", "twoweight.cli", "scalar", "--preset", "const",
+                           flag, value, "-o", str(out)], env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [f"error: {message}"], done.stderr
+    assert not out.exists()
+
+
 def test_scalar_vanishing_sample_exits_two(tmp_path):
     samples = tmp_path / "samples.json"
     values = [1.0] * 64

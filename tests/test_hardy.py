@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twoweight import hardy
+from twoweight import debranges
 from twoweight.circle import CircleGrid
 from twoweight.debranges import DeBrangesSystem, build_system
 from twoweight.hardy import (OPERATORS, HardyOperators, RationalTestFunction,
-                             gram_norm_estimate, random_test_functions,
-                             weighted_inner)
+                             gram_norm_estimate, random_test_functions)
 from twoweight.weights import fixture, random_polynomial_weight
 
 RNG = np.random.default_rng(99)
@@ -36,23 +35,21 @@ def test_test_function_algebra():
     assert np.abs(combo(pts) - fs[0](pts) - 2.0 * fs[1](pts)).max() < 1e-13
 
 
-def test_weighted_inner_closed_forms():
-    w = fixture("W_CONST")
+def test_gram_data_inner_closed_forms():
+    """The source Gram in L2(w0) for w0 = 1: f = 1/mu has norm 1,
+    1/|mu-2|^2 integrates to 1/3 on the unit circle, and the analytic and
+    anti-analytic parts are orthogonal."""
     chi = np.array([[1.0 + 0j]])
-    inside = RationalTestFunction(np.array([0.0j]), chi)  # f = 1/mu, norm 1
+    inside = RationalTestFunction(np.array([0.0j]), chi)
     outside = RationalTestFunction(np.array([2.0 + 0j]), chi)
-    grid = CircleGrid(64)
-    assert abs(weighted_inner(inside, inside, w, grid) - 1.0) < 1e-12
-    # 1/|mu-2|^2 integrates to 1/3 on the unit circle
-    assert abs(weighted_inner(outside, outside, w, grid) - 1.0 / 3.0) < 1e-12
-    # analytic/anti-analytic parts are orthogonal
-    assert abs(weighted_inner(inside, outside, w, grid)) < 1e-12
+    gram = _ops("W_CONST", 64).gram_data("mult", [inside, outside]).gram0
+    assert np.abs(gram - np.diag([1.0, 1.0 / 3.0])).max() < 1e-12
 
 
-def test_weighted_inner_rejects_coarse_grid():
+def test_gram_data_rejects_coarse_grid():
     f = random_test_functions(RNG, 1, 1, standoff_range=(0.01, 0.02))[0]
     with pytest.raises(ValueError, match="grid"):
-        weighted_inner(f, f, fixture("W_CONST"), CircleGrid(64))
+        _ops("W_CONST", 64).gram_data("mult", [f])
 
 
 def test_projections_on_const_weight():
@@ -209,12 +206,36 @@ def test_x_sup_matches_per_function_reference():
         assert np.abs(ops.x_sup(basis, fine) - reference).max() <= 1e-13 * reference.max()
 
 
+def test_pointwise_operators_match_per_function_reference():
+    rng = np.random.default_rng(2027)
+    for w in _weights_under_test():
+        ops = HardyOperators.build(build_system(w), 1024)
+        keep = ops.unflagged[:, None]
+        for f in random_test_functions(rng, 3, ops.system.dim):
+            # relative to the terms that cancel: P+- f vanishes when every pole
+            # of f is on one side and w0 is constant
+            scale = max(np.abs(v).max() for v in _reference_fields(ops, f))
+            w0f = _reference_image(ops, "mult", f)
+            plus, minus = (_reference_image(ops, "P" + side, f) for side in "+-")
+            pairs = [(ops.project(f, side), _reference_image(ops, "P" + side, f))
+                     for side in "+-"]
+            pairs += [(ops.apply_y(f, side), _reference_image(ops, "Y" + side, f))
+                      for side in "+-"]
+            pairs.append((ops.hilbert(f), -1j * (plus - minus) + 1j * w0f.mean(axis=0)))
+            for got, want in pairs:
+                want = np.where(keep, want, 0.0)
+                assert np.abs(got - want).max() <= 1e-13 * scale
+            residual = np.linalg.norm(plus + minus - w0f, axis=1)[ops.unflagged].max()
+            assert abs(ops.multiplication_residual(f) - residual) <= 1e-13 * scale
+
+
 def test_corpus_routes_evaluate_d0_once(monkeypatch):
     """Each corpus route evaluates D0 once, at every pole of the corpus, when
-    it needs X, and not at all otherwise."""
+    it needs X, and not at all otherwise; so do the one-function routes."""
     ops = _ops("W_DIAG", 2048)
     funcs = random_test_functions(np.random.default_rng(3), 40, 2)
     poles = sum(f.poles.size for f in funcs)
+    f = funcs[0]
     calls = []
     d0 = DeBrangesSystem.d0
 
@@ -230,6 +251,16 @@ def test_corpus_routes_evaluate_d0_once(monkeypatch):
         calls.clear()
         route()
         assert calls == ([] if name in ("Y+", "Y-", "mult") else [poles]), name
+    once = {"project+": lambda: ops.project(f, "+"), "project-": lambda: ops.project(f, "-"),
+            "hilbert": lambda: ops.hilbert(f),
+            "multiplication": lambda: ops.multiplication_residual(f)}
+    never = {"apply_y+": lambda: ops.apply_y(f, "+"), "apply_y-": lambda: ops.apply_y(f, "-"),
+             "project_quadrature": lambda: ops.project_quadrature(f, "+"),
+             "hilbert_quadrature": lambda: ops.hilbert_quadrature(f)}
+    for name, route in {**once, **never}.items():
+        calls.clear()
+        route()
+        assert calls == ([f.poles.size] if name in once else []), name
 
 
 def test_contraction_ratios_require_grid_clearance():
@@ -247,15 +278,20 @@ def test_contraction_ratios_require_grid_clearance():
 
 
 def test_cond_guard_covers_apply_x_and_contraction(monkeypatch):
+    """The guard of DeBrangesSystem.d0 names the first offending pole: f's
+    first for one function, and for a corpus the first pole of the first
+    function with the fewest terms (the corpus is sorted by term count)."""
     ops = _ops("W_DIAG")
     funcs = random_test_functions(np.random.default_rng(11), 3, 2,
                                   standoff_range=(0.05, 0.9))
-    monkeypatch.setattr(hardy, "COND_CUTOFF", 0.0)
-    with pytest.raises(ValueError, match="numerically singular at pole") as info:
-        ops.apply_x(funcs[0])
-    assert str(funcs[0].poles[0]) in str(info.value)
-    with pytest.raises(ValueError, match="numerically singular at pole"):
-        ops.contraction_ratios(funcs)
+    first = min(funcs, key=lambda f: f.poles.size).poles[0]
+    monkeypatch.setattr(debranges, "COND_CUTOFF", 0.0)
+    for route, pole in ((lambda: ops.apply_x(funcs[0]), funcs[0].poles[0]),
+                        (lambda: ops.project(funcs[0], "-"), funcs[0].poles[0]),
+                        (lambda: ops.contraction_ratios(funcs), first)):
+        with pytest.raises(ValueError, match="numerically singular") as info:
+            route()
+        assert str(pole) in str(info.value)
 
 
 def test_contraction_ratios_stay_blockwise():

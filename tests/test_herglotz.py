@@ -112,7 +112,7 @@ def test_boundary_profile_vectorizes_boundary():
     ev = HerglotzEvaluator.from_weight(random_polynomial_weight(RNG, 2))
     grid = CircleGrid(64)
     prof = ev.boundary_profile(grid.nodes, "inner")
-    assert np.abs(prof - ev.ring_values(1.0, grid)).max() < 1e-13
+    assert np.abs(prof - ev.ring_values(grid)).max() < 1e-13
 
 
 def test_jump_recovers_weight():
@@ -131,18 +131,8 @@ def test_jump_recovers_weight():
         assert np.abs(jump - w.samples_on(grid)).max() < 1e-12
 
 
-def test_ring_values_match_pointwise_series():
-    w = random_polynomial_weight(RNG, 2)
-    ev = HerglotzEvaluator.from_weight(w)
-    grid = CircleGrid(64)
-    for r in (0.5, 0.995, 2.0):
-        ring = ev.ring_values(r, grid)
-        direct = np.stack([ev.psi(z) for z in r * grid.points])
-        assert np.abs(ring - direct).max() < 1e-11
-
-
 def test_ring_values_reject_coarse_grid():
     w = random_polynomial_weight(RNG, 1, half_degree=16)  # degree 16
     ev = HerglotzEvaluator.from_weight(w)
     with pytest.raises(ValueError, match="coarse"):
-        ev.ring_values(0.5, CircleGrid(16))
+        ev.ring_values(CircleGrid(16))
