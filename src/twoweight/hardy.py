@@ -317,13 +317,14 @@ class HardyOperators:
         1/((e^{-it} - conj(z2))(e^{it} - z1)) against the psi1-side expression
         D0(z2)* (psi1(z1) - psi1(z2)*) / (2i (1 - z1 conj(z2))) D0(z1).  For
         arrays of pairs, one residual per pair from one quadrature and one
-        evaluation of D0 and psi1 over all points."""
+        evaluation of D0 over all points, psi1 = alpha - D0^-1 taken from it."""
         z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
         denom = 1.0 - z1 * np.conj(z2)
         if np.any(np.abs(denom) < 1e-12):
             raise ValueError("pair lies on the reflection locus z1 conj(z2) = 1")
         points = np.stack([z1, z2])
-        (p1, p2), (d1, d2) = self.system.psi1(points), self.system.d0(points)
+        d = self.system.d0(points)
+        (d1, d2), (p1, p2) = d, self.system.alpha - np.linalg.inv(d)
         core = (p1 - np.conj(np.swapaxes(p2, -1, -2))) / (2j * denom[..., None, None])
         rhs = np.conj(np.swapaxes(d2, -1, -2)) @ core @ d1
         residual = np.linalg.norm(pair_kernel_quadrature(z1, z2, self._pair_field) - rhs, 2,

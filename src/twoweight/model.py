@@ -16,10 +16,9 @@ import numpy as np
 
 from .circle import CircleGrid, TWO_PI
 from .debranges import DeBrangesSystem
-from .weights import MatrixWeight, psd_rebuild
+from .weights import MatrixWeight, psd_rebuild, psd_sqrt
 
 BUILD_CAP = 1 << 16
-SPECTRAL_CAP = BUILD_CAP
 SNAP_ONE = 1e-12
 TRUNCATION_BAND = 0.05
 CLUSTER = 1e-9
@@ -46,8 +45,9 @@ class TruncatedModel:
     U0 (multiplication by e^{i theta_m} on each node's k-dim fibre) is kept as
     its diagonal `phases`, and the rank-k Theta = V diag(2 half) V* as its
     factors: `v` (right singular vectors of G) and `half` (arcsin of the
-    squared singular values).  Nothing of size Mk x Mk is stored: the dense
-    u1 = e^{i Theta/2} U0 e^{i Theta/2} is formed only when it is read.
+    squared singular values).  Nothing of size Mk x Mk is stored.  The dense
+    u1 = e^{i Theta/2} U0 e^{i Theta/2} is formed only when read; it is the
+    tests' reference, and no route of the package reads it.
 
     The quadrature inner product (1/M) sum ||f_m||^2 is folded into G by the
     symmetric 1/sqrt(M) scaling, so adjoints are plain conjugate transposes
@@ -81,8 +81,7 @@ def build_model(w0: MatrixWeight, size: int) -> TruncatedModel:
     k = w0.dim
     if size * k > BUILD_CAP:
         raise ValueError(f"model size cap exceeded: M*k = {size * k} > {BUILD_CAP}")
-    lam, vec = np.linalg.eigh(w0.samples_on(grid))
-    roots = psd_rebuild(vec, np.sqrt(np.maximum(lam, 0.0)))
+    roots = psd_sqrt(w0.samples_on(grid))
     # column block m of G is the node's square root w0(theta_m)^{1/2} / sqrt(M)
     g = np.swapaxes(roots, 0, 1).reshape(k, size * k) / np.sqrt(size)
     phases = np.repeat(grid.points, k)
@@ -146,6 +145,20 @@ def intertwine_residual(model: TruncatedModel) -> float:
     gv = model.g @ model.v
     g_beta = model.g + (gv * (np.cos(model.half) - 1.0)) @ model.v.conj().T
     return float(np.linalg.norm(alpha @ model.g - g_beta, 2))
+
+
+def unitarity_residual(model: TruncatedModel) -> float:
+    """An upper bound on ||U1* U1 - I||_2 from the factors of U1 = E U0 E,
+    E = I + V D V* with D = diag(e^{i half} - 1): with G = V* V and S = G^{1/2},
+    a = ||E* E - I|| = ||S (D* G D + D + D*) S|| and b = ||U0* U0 - I||, and
+    U1* U1 - I = (E* E - I) + E* (U0* U0 - I + U0* (E* E - I) U0) E."""
+    d = np.exp(1j * model.half) - 1.0
+    gram = model.v.conj().T @ model.v
+    root = psd_sqrt(gram)
+    inner = d.conj()[:, None] * gram * d + np.diag(2.0 * d.real)
+    a = float(np.linalg.norm(root @ inner @ root, 2))
+    b = float(np.abs(np.abs(model.phases) ** 2 - 1.0).max())
+    return a + (1.0 + a) * b + (1.0 + a) * (1.0 + b) * a
 
 
 @dataclass(frozen=True)
@@ -362,8 +375,6 @@ def _taylor_table(seq: np.ndarray) -> np.ndarray:
     return table[:, :-1]
 
 
-
-
 def _quadratic_form(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.einsum("li,lij,lj->l", x.conj(), mats, x).real
 
@@ -450,8 +461,8 @@ def spectral_nu1(model: TruncatedModel) -> SpectralMeasure:
     keeps the rest of its eigenvalues exactly at theta_m, with mass 0.
     """
     n = model.size * model.dim
-    if n > SPECTRAL_CAP:
-        raise ValueError(f"spectral cap exceeded: M*k = {n} > {SPECTRAL_CAP}")
+    if n > BUILD_CAP:
+        raise ValueError(f"model size cap exceeded: M*k = {n} > {BUILD_CAP}")
     sec = _Secular(model)
     size, k, cols = model.size, model.dim, sec.cols
     ranks = sec.ranks[cols]

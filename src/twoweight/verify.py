@@ -23,11 +23,11 @@ from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
 from .hardy import (HardyOperators, RationalTestFunction, gram_norm_estimate,
                     random_test_functions)
 from .herglotz import pair_kernel_quadrature, psi_quadrature, radial_limit
-from .model import (build_model, cross_validate, intertwine_residual,
-                    model_identity_residual, spectral_nu1)
+from .model import (BUILD_CAP, build_model, cross_validate, intertwine_residual,
+                    model_identity_residual, spectral_nu1, unitarity_residual)
 from .weights import (FIXTURE_NAMES, MatrixWeight, _as_scalar_samples,
                       _mean_norm, fixture, koosis_transform,
-                      load_weight_spec, muckenhoupt_sup, normalize, psd_rebuild,
+                      load_weight_spec, muckenhoupt_sup, normalize, psd_sqrt,
                       random_polynomial_weight, save_weight_spec)
 
 DEFAULT_SEED = 1729
@@ -37,10 +37,6 @@ COND_LIMIT = 1e6
 CONTRACTION_GRID = 4096
 ISOMETRY_GRID = 1024
 QUADRATURE_GRID = 1024
-# the model rows eigensolve the dense U1 of their finer model, of size 2N k:
-# 2N k stays <= 1024 (16 MB per complex matrix), and a Fourier weight of
-# higher degree than that N holds errors there
-MODEL_ROWS_CAP = 1024
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -237,11 +233,8 @@ class _SuiteContext:
 
     def model_sizes(self, fx: str) -> Tuple[int, int]:
         """The model rows' two truncation sizes N and 2N: N is the degree
-        grid of the weight, at least 64 and, while that allows, at most the
-        largest power of two with 2N k <= MODEL_ROWS_CAP."""
-        weight = self.weight(fx)
-        cap = next_power_of_two(MODEL_ROWS_CAP // (2 * weight.dim) + 1) // 2
-        base = _degree_grid(weight.degree, 64, cap)
+        grid of the weight, at least 64; build_model refuses 2N k > BUILD_CAP."""
+        base = _degree_grid(self.weight(fx).degree, 64, BUILD_CAP)
         return base, 2 * base
 
     def nondegeneracy(self, label: str) -> NondegeneracyReport:
@@ -297,11 +290,6 @@ def _draw_pairs(rng: np.random.Generator, count: int, include_origin: bool = Tru
 
 def _imag_part(a: np.ndarray) -> np.ndarray:
     return (a - np.conj(np.swapaxes(a, -1, -2))) / 2j
-
-
-def _sqrt_psd(values: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(values)
-    return psd_rebuild(vec, np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def _psd_rank_and_norm(lam: np.ndarray):
@@ -485,7 +473,7 @@ def _check_deficit(fx, ctx, rng):
 
 
 def _sandwich_value(ops: HardyOperators) -> float:
-    root = _sqrt_psd(ops.w0_samples[ops.unflagged])
+    root = psd_sqrt(ops.w0_samples[ops.unflagged])
     inner = root @ ops.w1_samples[ops.unflagged] @ root
     lam = np.linalg.eigvalsh(0.5 * (inner + np.conj(np.swapaxes(inner, -1, -2))))
     return max(0.0, float(lam.max()) - 1.0)
@@ -534,12 +522,7 @@ def _row_model(fx, ctx):
 
 
 def _check_model_unitarity(fx, ctx, rng):
-    mdl = _row_model(fx, ctx)
-    eye = np.eye(mdl.u1.shape[0])
-    drift0 = np.abs(np.abs(mdl.phases) - 1.0).max()
-    # U1* U1 - I is Hermitian: its 2-norm is its largest |eigenvalue|
-    drift1 = np.abs(np.linalg.eigvalsh(mdl.u1.conj().T @ mdl.u1 - eye)).max()
-    return float(max(drift0, drift1))
+    return unitarity_residual(_row_model(fx, ctx))
 
 
 def _check_model_intertwine(fx, ctx, rng):
@@ -569,15 +552,13 @@ def _check_spectral_total(fx, ctx, rng):
 
 
 def _check_spectral_atom(ctx, rng):
-    mdl = ctx.model("W_COS", 256)
-    measure = spectral_nu1(mdl)
+    measure = spectral_nu1(ctx.model("W_COS", 256))
     window = 10.0 * TWO_PI / 256
     return abs(measure.mass_near(np.pi, window) - 0.5)
 
 
 def _check_spectral_ramp(ctx, rng):
-    mdl = ctx.model("W_DIAG", 128)
-    measure = spectral_nu1(mdl)
+    measure = spectral_nu1(ctx.model("W_DIAG", 128))
     angles, cumulative = measure.cumulative_trace()
     ramp = 1.4 * angles / TWO_PI
     return float(np.abs(cumulative - ramp).max())

@@ -36,6 +36,12 @@ def psd_rebuild(vec: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return hermitian_part((vec * lam[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2)))
 
 
+def psd_sqrt(values: np.ndarray) -> np.ndarray:
+    """The PSD square root of Hermitian matrices, eigenvalues below 0 read as 0."""
+    lam, vec = np.linalg.eigh(values)
+    return psd_rebuild(vec, np.sqrt(np.maximum(lam, 0.0)))
+
+
 def _clean_psd_samples(values: np.ndarray):
     """Validate Hermitian PSD samples, clamping roundoff-negative eigenvalues.
 

@@ -391,6 +391,22 @@ def test_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fresh processes under one and two BLAS threads write the same reports
+    spec = tmp_path / "k4.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(4), 4), str(spec))
+    for name, args in (("fixtures", ["--fixtures"]), ("k4", ["--weight-spec", str(spec)])):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_{threads}.txt"
+            env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "twoweight.cli", "verify", *args,
+                            "-o", str(out)], env=env, capture_output=True, timeout=300,
+                           check=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], name
+
+
 # -- the block CSV writer ----------------------------------------------------------
 
 def _assert_formats_exactly(values, cols=64):

@@ -344,6 +344,24 @@ def test_gram_identity_residual():
             assert ops.gram_identity_residual(z1, z2) < 1e-9, name
 
 
+def test_gram_identity_evaluates_d0_once(monkeypatch):
+    # psi1 = alpha - D0^-1 comes from the same D0 values as the right side
+    ops = _ops("W_DIAG")
+    calls = []
+    d0 = DeBrangesSystem.d0
+
+    def counting_d0(self, z):
+        calls.append(np.size(z))
+        return d0(self, z)
+
+    monkeypatch.setattr(DeBrangesSystem, "d0", counting_d0)
+    ops.gram_identity_residual(0.4j, -0.3 + 0.2j)
+    assert calls == [2]
+    calls.clear()
+    ops.gram_identity_residual(np.array([0.3, 0.4j, 0.0]), np.array([0.3, -0.3 + 0.2j, 0.5]))
+    assert calls == [6]
+
+
 def test_gram_identity_rejects_reflection_locus():
     ops = _ops("W_CONST")
     with pytest.raises(ValueError, match="reflection"):

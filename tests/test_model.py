@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
 from twoweight.model import (CLUSTER, _Secular, build_model, cross_validate,
                              intertwine_residual, model_identity_residual, psi_direct,
-                             spectral_nu1)
+                             spectral_nu1, unitarity_residual)
+from twoweight.verify import CHECKS
 from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
 
 RNG = np.random.default_rng(321)
@@ -99,8 +101,8 @@ def test_spectral_measure_total_mass_and_psd():
 
 def test_spectral_cap():
     # stub with an oversized M*k; the cap guard fires before any work
-    from twoweight.model import SPECTRAL_CAP, TruncatedModel
-    n = SPECTRAL_CAP + 1
+    from twoweight.model import BUILD_CAP, TruncatedModel
+    n = BUILD_CAP + 1
     stub = TruncatedModel(size=n, dim=1, nodes=np.zeros(n),
                           phases=np.ones(n, dtype=complex),
                           g=np.zeros((1, n), dtype=complex),
@@ -159,6 +161,34 @@ def _oracle_weights():
 def _unwrapped(angles):
     # an eigenvalue on the 0/2pi seam may read either end
     return np.where(angles > 2.0 * np.pi - CLUSTER, angles - 2.0 * np.pi, angles)
+
+
+def _dense_unitarity(model):
+    u = model.u1
+    # U1* U1 - I is Hermitian: its 2-norm is its largest |eigenvalue|
+    return float(np.abs(np.linalg.eigvalsh(u.conj().T @ u - np.eye(u.shape[0]))).max())
+
+
+def test_unitarity_residual_matches_dense():
+    for label, w in _oracle_weights():
+        model = build_model(w, 64)
+        bound, dense = unitarity_residual(model), _dense_unitarity(model)
+        assert bound < 1e-14 and abs(bound - dense) < 1e-14, (label, bound, dense)
+
+
+def test_unitarity_residual_bounds_mutated_models():
+    # one column of v, or one phase, off by a relative 1e-6: the bound stays
+    # above the dense value and fails the model.unitarity row
+    tolerance = {name: tol for name, tol, _, _ in CHECKS}["model.unitarity"]
+    model = build_model(random_polynomial_weight(np.random.default_rng(9), 2), 64)
+    v = model.v.copy()
+    v[:, 0] *= 1.0 + 1e-6
+    phases = model.phases.copy()
+    phases[7] *= 1.0 + 1e-6
+    for mutated in (dataclasses.replace(model, v=v), dataclasses.replace(model, phases=phases)):
+        bound, dense = unitarity_residual(mutated), _dense_unitarity(mutated)
+        assert bound >= dense > tolerance, (bound, dense)
+        assert bound <= 2.0 * dense, (bound, dense)
 
 
 def test_spectral_matches_dense_eig():

@@ -158,20 +158,34 @@ def test_run_weight_checks_sizes_the_grid_from_the_degree():
 
 
 def test_model_rows_size_from_the_degree():
-    # degree 100: the fixed sizes 64 and 128 made every model row an error
-    weight = random_polynomial_weight(np.random.default_rng(5), 1, half_degree=100)
-    assert weight.degree == 100
-    report = run_weight_checks(weight)
-    model_rows = [e for e in report.entries if e.name.startswith("model.")]
-    assert len(model_rows) == 5
-    assert [e.name for e in model_rows if e.status == "error"] == []
+    # degree 100 asks for models of N = 256 and 2N = 512 nodes, 2N k = 2048
+    # at k = 4; smaller models make the rows errors ("grid too coarse")
+    for dim in (1, 4):
+        weight = random_polynomial_weight(np.random.default_rng(5), dim, half_degree=100)
+        assert weight.degree == 100
+        report = run_weight_checks(weight)
+        model_rows = [e for e in report.entries if e.name.startswith("model.")]
+        assert len(model_rows) == 5
+        assert [e.name for e in model_rows if e.status == "error"] == [], dim
+
+
+def test_model_rows_past_the_build_cap_carry_its_message():
+    # degree 4096 at k = 4: N = 16384 from the degree, and 2N k = 131072 is
+    # past BUILD_CAP, so the rows on the finer model are errors that say so
+    # samples of 1 + 0.1 cos(4096 theta) on 16384 nodes, exact
+    wave = np.array([1.0, 0.0, -1.0, 0.0])[np.arange(16384) % 4]
+    ctx = verify._SuiteContext(SuiteConfig())
+    ctx.register("BIG", MatrixWeight.from_samples((1.0 + 0.1 * wave)[:, None, None] * np.eye(4)))
+    assert ctx.weight("BIG").degree == 4096
+    assert ctx.model_sizes("BIG") == (16384, 32768)
+    with pytest.raises(ValueError, match="model size cap exceeded"):
+        verify._check_model_unitarity("BIG", ctx, None)
 
 
 def test_model_rows_stay_small_on_many_samples(monkeypatch):
     """1024 samples of a smooth k = 3 weight trim to degree 511; the model
-    rows build models of size N with N k <= MODEL_ROWS_CAP, where sizes 1024
-    and 2048 from the degree alone would eigensolve a dense 6144 x 6144 U1
-    (GBs)."""
+    rows build sizes 1024 and 2048 from the degree alone and read only the
+    factors of U1, so no dense 6144 x 6144 U1 (GBs) is formed."""
     theta = CircleGrid(1024).nodes
     rng = np.random.default_rng(7)
     values = np.broadcast_to(0.2 * np.eye(3), (1024, 3, 3)).astype(complex)
@@ -184,22 +198,22 @@ def test_model_rows_stay_small_on_many_samples(monkeypatch):
     built = []
     build = verify.build_model
 
-    def capped_build(w0, size):
-        assert size * w0.dim <= verify.MODEL_ROWS_CAP, size
-        built.append(size)
-        return build(w0, size)
+    def recording_build(w0, size):
+        built.append(build(w0, size))
+        return built[-1]
 
-    monkeypatch.setattr(verify, "build_model", capped_build)
+    monkeypatch.setattr(verify, "build_model", recording_build)
     tracemalloc.start()
     try:
         report = run_weight_checks(weight)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(set(built)) == [128, 256]
+    assert sorted({model.size for model in built}) == [1024, 2048]
+    assert not any("u1" in vars(model) for model in built)
     model_rows = [e for e in report.entries if e.name.startswith("model.")]
     assert len(model_rows) == 5 and all(e.status == "pass" for e in model_rows)
-    # about 37 MB with the cap
+    # about 24 MB
     assert peak <= 100e6, peak
 
 
