@@ -41,24 +41,25 @@ def _fmt(x) -> str:
 # -- CSV tables ---------------------------------------------------------------
 #
 # A table is written in blocks of rows, each rendered by numpy into one
-# (rows, cols, _CELL) byte array whose zero pad bytes are dropped at the end.
+# (rows, cols, _WORDS) array of little-endian 4-byte words whose zero bytes
+# are dropped at the end; each cell ends in a word that holds its separator.
 # A float cell holds exactly _fmt(x): for x = 0 and for 1e-5 <= |x| < 1e18 the
 # 18 significant digits are N = round-half-even(|x| * 10^(17 - e)), formed
 # from the exact product hi + lo of |x| and the exact double 10^(17 - e)
 # (Dekker's two-product with Veltkamp splits, Numer. Math. 18, 1971); every
 # other float cell (inf, nan, tiny or huge values) is rendered by _fmt itself.
 
-_CELL = 26  # the widest cell, "-1.00000000000000000e+100", and its separator
+_WORDS = 7  # 28 bytes: the widest text, "-1.00000000000000000e+100", fits in 27
+_CELL = 4 * _WORDS
 _BLOCK_ROWS = 1024
 _POW10 = np.array([float(10 ** p) for p in range(23)])  # exact doubles
-# "d.dd" for the first three digits, "ddd" for each later three, "e+dd" for
-# e = -5 .. 17; a fast cell is these pieces after an optional "-"
-_HEADS = np.frombuffer(b"".join(b"%d.%02d" % divmod(i, 100) for i in range(1000)),
-                       "V4")
-_TRIPLES = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), "V3")
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-5, 18)), "V4")
-_FAST_CELL = np.dtype([("sign", "u1"), ("head", "V4"), ("tail", "V3", (5,)),
-                       ("exponent", "V4"), ("pad", "u1")])
+# a fast cell is six words: sign (0 or "-") with "d.d" for the first two
+# digits, "dddd" for each later four, and "e+dd" for e = -5 .. 17
+_LEADS = np.frombuffer(b"".join(b"\0%d.%d" % divmod(i, 10) for i in range(100)), "<u4")
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_QUADS = (_DIGITS[:, None, None, None] | _DIGITS[:, None, None] << 8
+          | _DIGITS[:, None] << 16 | _DIGITS << 24).reshape(-1)  # "%04d" % i, i < 10^4
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-5, 18)), "<u4")
 
 
 def _split(a: np.ndarray):
@@ -107,7 +108,8 @@ def _significands(a: np.ndarray):
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
-    """_fmt of each value as zero-padded ASCII, shape (values.size, _CELL - 1)."""
+    """_fmt of each value as zero-padded ASCII in _WORDS words per value, the
+    last word left for the separator byte: shape (values.size, _WORDS)."""
     x = np.asarray(values, dtype=np.float64).ravel()
     ax = np.abs(x)
     fast = (ax >= 1e-5) & (ax < 1e18)
@@ -115,27 +117,27 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     zero = x == 0.0
     n[zero] = 0
     e[zero] = 0
-    top = n // 10 ** 9
-    halves = np.stack([top, n - top * 10 ** 9], axis=1).astype(np.int32)
-    lead, tail = np.divmod(halves, 10 ** 6)
-    mid, last = np.divmod(tail, 1000)
-    groups = np.stack([lead, mid, last], axis=2).reshape(-1, 6)
+    lead = n // 10 ** 16
+    rest = n - lead * 10 ** 16
+    eights = rest // 10 ** 8
+    halves = np.stack([eights, rest - eights * 10 ** 8], axis=1).astype(np.int32)
+    groups = np.stack(np.divmod(halves, 10 ** 4), axis=2).reshape(-1, 4)
 
-    cells = np.zeros(x.size, dtype=_FAST_CELL)
-    cells["sign"] = np.where(np.signbit(x), ord("-"), 0)
-    cells["head"] = _HEADS.take(groups[:, 0])
-    cells["tail"] = _TRIPLES.take(groups[:, 1:])
+    cells = np.zeros((x.size, _WORDS), dtype="<u4")
+    cells[:, 0] = _LEADS.take(lead)
+    cells[:, 0] += np.signbit(x) * np.uint32(ord("-"))
+    cells[:, 1:5] = _QUADS.take(groups)
     # lanes that did not settle may hold e outside -5..17; _fmt overwrites them
-    cells["exponent"] = _EXPONENTS.take(e + 5, mode="clip")
-    cells = cells.view(np.uint8).reshape(x.size, _CELL - 1)
+    cells[:, 5] = _EXPONENTS.take(e + 5, mode="clip")
     slow = ~(fast & settled | zero)
-    cells[slow] = _text_cells([_fmt(v) for v in x[slow].tolist()])
+    text = cells.view(np.uint8).reshape(x.size, _CELL)
+    text[slow, :-1] = _text_cells([_fmt(v) for v in x[slow].tolist()])
     return cells
 
 
 def _text_cells(texts) -> np.ndarray:
     """ASCII strings as zero-padded rows of shape (len(texts), _CELL - 1)."""
-    cells = np.array(texts, dtype=f"S{_CELL - 1}")
+    cells = np.asarray(texts, dtype=f"S{_CELL - 1}")
     return cells.view(np.uint8).reshape(len(texts), _CELL - 1)
 
 
@@ -149,18 +151,18 @@ def _csv_rows(columns):
     rows = len(columns[0])
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(rows, start + _BLOCK_ROWS)
-        cells = np.zeros((stop - start, len(columns), _CELL), dtype=np.uint8)
+        cells = np.zeros((stop - start, len(columns), _WORDS), dtype="<u4")
         block = np.stack([columns[j][start:stop] for j in floats], axis=1)
-        cells[:, floats, :-1] = _float_cells(block).reshape(
-            stop - start, len(floats), _CELL - 1)
+        cells[:, floats] = _float_cells(block).reshape(stop - start, len(floats), _WORDS)
+        text = cells.view(np.uint8)
         for j in others:
             values = columns[j][start:stop]
             if values.dtype.kind != "S":
-                values = ["%d" % v for v in values.astype(np.int64).tolist()]
-            cells[:, j, :-1] = _text_cells(values)
-        cells[:, :-1, -1] = ord(",")
-        cells[:, -1, -1] = ord("\n")
-        flat = cells.reshape(-1)
+                values = values.astype(np.int64)
+            text[:, j, :-1] = _text_cells(values)
+        text[:, :-1, -1] = ord(",")
+        text[:, -1, -1] = ord("\n")
+        flat = text.reshape(-1)
         yield flat[flat != 0].tobytes().decode("ascii")
 
 

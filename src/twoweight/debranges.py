@@ -21,15 +21,38 @@ PSD_CLAMP = 1e-10
 RESOLVE = 4.0
 
 
+# LAPACK's gesdd rescales a matrix whose largest entry lies outside
+# [2^-459, 2^459] (sqrt(safmin)/eps and its inverse) before it factors it
+_UNSCALED_LOW, _UNSCALED_HIGH = 2.0 ** -459, 2.0 ** 458
+
+
+def _singular_values(values: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(values, compute_uv=False), bit for bit.  A 1x1 matrix x
+    that gesdd would not rescale has the singular value w sqrt(1 + (z/w)^2),
+    w = max(|Re x|, |Im x|), z = min (LAPACK's dlapy2, as its Householder
+    step forms it); only the other 1x1 matrices reach the SVD."""
+    if values.shape[-1] != 1:
+        return np.linalg.svd(values, compute_uv=False)
+    x = values[..., 0]
+    re, im = np.abs(x.real), np.abs(x.imag)
+    w, z = np.maximum(re, im), np.minimum(re, im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(w > 0.0, w * np.sqrt(1.0 + (z / w) ** 2), 0.0)
+    rest = ~((w == 0.0) | ((w >= _UNSCALED_LOW) & (w <= _UNSCALED_HIGH)))
+    if rest.any():
+        s[rest] = np.linalg.svd(x[rest][:, None, None], compute_uv=False)[:, 0]
+    return s
+
+
 def _cond_and_norm(values: np.ndarray):
-    """cond and ||A|| per matrix from one SVD.  cond is ||A^-1|| *
+    """cond and ||A|| per matrix from its singular values.  cond is ||A^-1|| *
     max(1, ||A||): it collapses to 1/sigma_min for small matrices, so it
     still flags scalar values shrinking to zero."""
-    s = np.linalg.svd(values, compute_uv=False)
+    s = _singular_values(values)
     smin = s.min(axis=-1)
     norm = s.max(axis=-1)
     smax = np.maximum(1.0, norm)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # subnormal smin: cond = inf
         cond = np.where(smin > 0.0, smax / np.where(smin > 0.0, smin, 1.0), np.inf)
     return cond, norm
 
@@ -104,13 +127,16 @@ class DeBrangesSystem:
         safe = np.where(flags[:, None, None], np.eye(self.dim), d0)
         psi1 = self.alpha - np.linalg.inv(safe)
         imag = (psi1 - np.conj(np.swapaxes(psi1, -1, -2))) / 2j
-        lam, vec = np.linalg.eigh(hermitian_part(imag))
+        # w1 is Im psi1+ itself; its spectrum flags the nodes and validates w1
+        value = hermitian_part(imag)
+        lam = np.linalg.eigvalsh(value)
         flags = flags | (lam.min(axis=-1) < -PSD_CLAMP)
-        value = psd_rebuild(vec, np.maximum(lam, 0.0))
         value[flags] = 0.0
+        lam[flags] = 0.0
 
-        w1 = MatrixWeight.from_samples(value, grid, schatten_p=self.weight.schatten_p)
-        traces = np.einsum("mii->m", value).real
+        w1 = MatrixWeight.from_samples(value, grid, schatten_p=self.weight.schatten_p,
+                                       eigenvalues=lam)
+        traces = np.einsum("mii->m", w1.values).real
         deficit = float(np.trace(self.gg_star).real - traces.sum() / grid.size)
         return CompanionWeightResult(
             w1=w1,

@@ -85,19 +85,28 @@ def random_test_functions(rng: np.random.Generator, count: int, dim: int,
                           standoff_range=(1e-2, 0.9),
                           sides=(-1.0, 1.0)) -> list:
     """Seeded corpus: pole standoff log-uniform in the given range on both
-    sides of the circle, angles uniform, coefficients complex Gaussian."""
-    lo, hi = standoff_range
-    out = []
+    sides of the circle, angles uniform, coefficients complex Gaussian.  The
+    draws are taken function by function; the arithmetic runs once on the
+    whole corpus."""
+    if count == 0:
+        return []
+    log_lo, log_hi = np.log(standoff_range[0]), np.log(standoff_range[1])
+    sides = np.asarray(sides)
+    sizes, logs, signs, angles, real, imag = [], [], [], [], [], []
     for _ in range(count):
         terms = int(rng.integers(1, max_terms + 1))
-        gap = np.exp(rng.uniform(np.log(lo), np.log(hi), size=terms))
-        side = rng.choice(np.asarray(sides), size=terms)
-        radius = 1.0 + side * gap
-        angle = rng.uniform(0.0, TWO_PI, size=terms)
-        poles = radius * np.exp(1j * angle)
-        coeffs = rng.standard_normal((terms, dim)) + 1j * rng.standard_normal((terms, dim))
-        out.append(RationalTestFunction(poles=poles, coefficients=coeffs))
-    return out
+        sizes.append(terms)
+        logs.append(rng.uniform(log_lo, log_hi, size=terms))
+        signs.append(rng.choice(sides, size=terms))
+        angles.append(rng.uniform(0.0, TWO_PI, size=terms))
+        real.append(rng.standard_normal((terms, dim)))
+        imag.append(rng.standard_normal((terms, dim)))
+    radius = 1.0 + np.concatenate(signs) * np.exp(np.concatenate(logs))
+    poles = radius * np.exp(1j * np.concatenate(angles))
+    coeffs = np.concatenate(real) + 1j * np.concatenate(imag)
+    bounds = np.cumsum(sizes)[:-1]
+    return [RationalTestFunction(poles=p, coefficients=c)
+            for p, c in zip(np.split(poles, bounds), np.split(coeffs, bounds))]
 
 
 def _check_clearance(standoff: float, grid: CircleGrid,

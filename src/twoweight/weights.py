@@ -42,14 +42,15 @@ def psd_sqrt(values: np.ndarray) -> np.ndarray:
     return psd_rebuild(vec, np.sqrt(np.maximum(lam, 0.0)))
 
 
-def _clean_psd_samples(values: np.ndarray):
+def _clean_psd_samples(values: np.ndarray, lam: Optional[np.ndarray] = None):
     """Validate Hermitian PSD samples, clamping roundoff-negative eigenvalues.
 
     Returns (samples, eigenvalues), the eigenvalues being those of the
-    returned samples.  Eigenvalues in [-1e-10, 0) are set to 0 (the whole
-    stack is rebuilt from one eigh, then its spectrum is taken again);
-    anything more negative is a hard error, as is a Hermiticity defect above
-    1e-10.
+    returned samples.  A caller that already holds the spectrum of the
+    samples' Hermitian part passes it as lam and it is not solved again.
+    Eigenvalues in [-1e-10, 0) are set to 0 (the whole stack is rebuilt from
+    one eigh, then its spectrum is taken again); anything more negative is a
+    hard error, as is a Hermiticity defect above 1e-10.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
@@ -69,7 +70,10 @@ def _clean_psd_samples(values: np.ndarray):
         # the eigenvalue of a 1x1 Hermitian matrix is its real part, exactly;
         # a view, so the spectrum costs no memory of its own
         return values, values[:, :, 0].real
-    lam = np.linalg.eigvalsh(values)
+    if lam is None:
+        lam = np.linalg.eigvalsh(values)
+    elif np.shape(lam) != values.shape[:2]:
+        raise ValueError("eigenvalues must have shape (M, k)")
     low = lam.min(initial=0.0)
     if low < -PSD_CLAMP:
         raise ValueError(
@@ -104,7 +108,7 @@ class MatrixWeight:
     the weight evaluates that one series.  schatten_p is carried with the
     weight because normalization depends on it.  A sampled weight keeps the
     eigenvalues of its stored values (ascending per node), found when they
-    were validated.
+    were validated (or as the caller passed them to from_samples).
     """
 
     kind: str
@@ -113,8 +117,7 @@ class MatrixWeight:
     fourier: Optional[np.ndarray] = None
     grid: Optional[CircleGrid] = None
     values: Optional[np.ndarray] = None
-    eigenvalues: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                              compare=False)
+    eigenvalues: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.schatten_p < 1:
@@ -124,6 +127,8 @@ class MatrixWeight:
         if self.kind == "fourier":
             if self.fourier is None:
                 raise ValueError("Fourier-form weight needs coefficients")
+            if self.eigenvalues is not None:
+                raise ValueError("only a sampled weight carries eigenvalues")
             coeffs = np.asarray(self.fourier, dtype=complex)
             if coeffs.ndim != 3 or coeffs.shape[1:] != (self.dim, self.dim):
                 raise ValueError("Fourier data must have shape (d+1, k, k)")
@@ -138,7 +143,7 @@ class MatrixWeight:
         elif self.kind == "samples":
             if self.grid is None or self.values is None:
                 raise ValueError("sampled weight needs a grid and values")
-            cleaned, lam = _clean_psd_samples(self.values)
+            cleaned, lam = _clean_psd_samples(self.values, self.eigenvalues)
             if cleaned.shape[0] != self.grid.size:
                 raise ValueError("sample count must match the grid size")
             if cleaned.shape[1] != self.dim:
@@ -157,14 +162,17 @@ class MatrixWeight:
 
     @classmethod
     def from_samples(cls, values, grid: Optional[CircleGrid] = None,
-                     schatten_p: float = 1.0) -> "MatrixWeight":
+                     schatten_p: float = 1.0,
+                     eigenvalues: Optional[np.ndarray] = None) -> "MatrixWeight":
+        """A sampled weight; eigenvalues, when given, are those of the
+        Hermitian part of each sample (ascending), and are not solved again."""
         values = np.asarray(values, dtype=complex)
         if values.ndim == 1:
             values = values[:, None, None]
         if grid is None:
             grid = CircleGrid(values.shape[0])
         return cls(kind="samples", dim=values.shape[1], schatten_p=schatten_p,
-                   grid=grid, values=values)
+                   grid=grid, values=values, eigenvalues=eigenvalues)
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -419,9 +427,25 @@ def _matrix_from_entry(entry: dict, dim: int, what: str) -> np.ndarray:
         imag = np.zeros_like(real) if imag_raw is None else np.asarray(imag_raw, dtype=float)
         if real.shape == imag.shape == (dim, dim):
             return real + 1j * imag
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an integer beyond double range
         pass
     raise ValueError(f"{what} must be a {dim}x{dim} real/imag matrix pair")
+
+
+def _sample_stack(data: list, dim: int) -> np.ndarray:
+    """The (M, dim, dim) stack of the samples entries: one conversion each for
+    the real and imaginary parts when every entry is well formed, else the
+    entry-by-entry read that names the first malformed one."""
+    try:
+        real = np.asarray([entry["real"] for entry in data], dtype=float)
+        imag = np.asarray([entry["imag"] for entry in data], dtype=float)
+        if real.shape == imag.shape == (len(data), dim, dim):
+            return real + 1j * imag
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return np.stack([
+        _matrix_from_entry(entry, dim, f"sample {i}") for i, entry in enumerate(data)
+    ])
 
 
 def load_weight_spec(path) -> MatrixWeight:
@@ -463,8 +487,5 @@ def load_weight_spec(path) -> MatrixWeight:
             coeffs[order] = block
         return MatrixWeight.from_fourier(coeffs, schatten_p=schatten_p)
     if kind == "samples":
-        stack = np.stack([
-            _matrix_from_entry(entry, dim, f"sample {i}") for i, entry in enumerate(data)
-        ])
-        return MatrixWeight.from_samples(stack, schatten_p=schatten_p)
+        return MatrixWeight.from_samples(_sample_stack(data, dim), schatten_p=schatten_p)
     raise ValueError("weight spec kind must be 'fourier' or 'samples'")

@@ -320,6 +320,14 @@ MALFORMED = {
                    {"dim": 1, "kind": "fourier", "data": [{"n": None, "real": [[1.0]]}]}),
     "matrix-object": ("construct", "--weight-spec",
                       {"dim": 1, "kind": "fourier", "data": [{"n": 0, "real": {"a": 1}}]}),
+    # a JSON integer beyond double range overflows float()
+    "matrix-huge-integer": ("construct", "--weight-spec",
+                            {"dim": 1, "kind": "fourier",
+                             "data": [{"n": 0, "real": [[10 ** 400]]}]}),
+    "sample-huge-integer": ("construct", "--weight-spec",
+                            {"dim": 1, "kind": "samples",
+                             "data": [{"real": [[10 ** 400 if i == 3 else 1]]}
+                                      for i in range(64)]}),
     # refused before any coefficient stack is allocated (it would be 14.6 TiB)
     "order-huge": ("construct", "--weight-spec",
                    {"dim": 1, "kind": "fourier",
@@ -405,6 +413,22 @@ def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
                            check=True)
             reports.append(out.read_bytes())
         assert reports[0] == reports[1], name
+
+
+def test_construct_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fresh processes under one and two BLAS threads write the same tables
+    spec = tmp_path / "k4.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(4), 4), str(spec))
+    for name, args in (("W_COS", ["--fixture", "W_COS"]), ("k4", ["--weight-spec", str(spec)])):
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_{threads}.csv"
+            env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "twoweight.cli", "construct", *args,
+                            "-M", "8192", "-o", str(out)], env=env, capture_output=True,
+                           timeout=300, check=True)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1], name
 
 
 # -- the block CSV writer ----------------------------------------------------------
@@ -609,21 +633,26 @@ def test_model_check_takes_psi1_once(tmp_path, capfd, monkeypatch, source):
 
 
 def test_construct_eigensolves_each_stack_once(tmp_path, monkeypatch):
-    """One eigh (the clamp of Im psi1) and two eigvalsh (validating w1 and
-    w0) over the M-node stacks; the report reuses both spectra."""
+    """No eigh and two eigvalsh (w1 = Im psi1 and w0) over the M-node stacks;
+    the report reuses both spectra.  A 1x1 stack takes no SVD."""
     spec = tmp_path / "k3.json"
     save_weight_spec(random_polynomial_weight(np.random.default_rng(31), 3), spec)
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    shapes = []
     for name in calls:
         solver = getattr(np.linalg, name)
 
         def counted(a, *args, _solver=solver, _name=name, **kwargs):
             if np.ndim(a) == 3 and np.shape(a)[0] == 1024:
                 calls[_name] += 1
+                shapes.append((_name, np.shape(a)))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     out = tmp_path / "table.csv"
     assert main(["construct", "--weight-spec", str(spec), "-M", "1024",
                  "-o", str(out)]) == 0
-    assert calls == {"eigh": 1, "eigvalsh": 2}
+    assert calls == {"eigh": 0, "eigvalsh": 2, "svd": 1}
+    shapes.clear()
+    assert main(["construct", "--fixture", "W_COS", "-M", "1024", "-o", str(out)]) == 0
+    assert ("svd", (1024, 1, 1)) not in shapes

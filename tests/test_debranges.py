@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from twoweight import debranges
 from twoweight.circle import CircleGrid
 from twoweight.debranges import DeBrangesSystem, build_system
-from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
+from twoweight.weights import (MatrixWeight, fixture, hermitian_part, normalize,
+                               random_polynomial_weight)
 
 RNG = np.random.default_rng(55)
 
@@ -157,3 +160,54 @@ def test_companion_carries_the_spectrum_of_w1():
     for w in weights:
         w1 = build_system(w).companion_weight(CircleGrid(512)).w1
         assert np.array_equal(w1.eigenvalues, np.linalg.eigvalsh(w1.values))
+
+
+def test_unflagged_w1_is_the_hermitian_part_of_im_psi1():
+    """w1 is Im psi1+ itself at every unflagged node, bit for bit: no
+    eigendecomposition round trip rebuilds it."""
+    weights = [fixture(name) for name in ("W_COS", "W_DIAG", "W_RANK1")]
+    weights += [random_polynomial_weight(np.random.default_rng(70 + k), k) for k in (2, 3, 4)]
+    for w in weights:
+        system = build_system(w)
+        result = system.companion_weight(CircleGrid(512))
+        keep = result.unflagged
+        psi1 = system.alpha - np.linalg.inv(result.d0_plus[keep])
+        imag = (psi1 - np.conj(np.swapaxes(psi1, -1, -2))) / 2j
+        assert np.array_equal(result.w1.values[keep], hermitian_part(imag))
+        assert not result.w1.values[~keep].any()
+
+
+def _svd_reference(x):
+    return np.linalg.svd(x[:, None, None], compute_uv=False)
+
+
+def test_singular_values_of_1x1_stacks_match_the_svd():
+    """The closed form for 1x1 stacks gives np.linalg.svd's bytes, also where
+    LAPACK rescales (huge, tiny and subnormal entries)."""
+    rng = np.random.default_rng(90)
+    size = 20_000
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, (2, size))
+    parts = rng.standard_normal((2, size)) * scale
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0, -3.5,
+                         2.0 ** -459, 2.0 ** 458, 2.0 ** 459, 1e300, -1e-300])
+    x = np.concatenate([
+        parts[0] + 1j * parts[1],
+        parts[0] + 0j,
+        1j * parts[1],
+        specials + 0j,
+        1j * specials,
+        specials + 1j * specials[::-1],
+        rng.standard_normal(size) + 1j * rng.standard_normal(size),
+    ])
+    got = debranges._singular_values(x[:, None, None])
+    want = _svd_reference(x)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # the norms built on them follow, and a sigma whose inverse overflows
+    # reads cond = inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cond, norm = debranges._cond_and_norm(x[:, None, None])
+    assert norm.tobytes() == want[:, 0].tobytes()
+    overflows = (want[:, 0] > 0.0) & (want[:, 0] < 1.0 / np.finfo(float).max)
+    assert overflows.any() and np.isinf(cond[overflows]).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twoweight import debranges
-from twoweight.circle import CircleGrid
+from twoweight.circle import TWO_PI, CircleGrid
 from twoweight.debranges import DeBrangesSystem, build_system
 from twoweight.hardy import (OPERATORS, HardyOperators, RationalTestFunction,
                              gram_norm_estimate, random_test_functions)
@@ -378,3 +378,40 @@ def test_apply_x_rotates_coefficients_only():
     for t, pole in enumerate(f.poles):
         expected = system.d0(complex(pole)) @ f.coefficients[t]
         assert np.abs(image.coefficients[t] - expected).max() < 1e-12
+
+
+def _per_function_corpus(rng, count, dim, max_terms=5, standoff_range=(1e-2, 0.9),
+                         sides=(-1.0, 1.0)):
+    """The corpus drawn and assembled one function at a time."""
+    lo, hi = standoff_range
+    out = []
+    for _ in range(count):
+        terms = int(rng.integers(1, max_terms + 1))
+        gap = np.exp(rng.uniform(np.log(lo), np.log(hi), size=terms))
+        side = rng.choice(np.asarray(sides), size=terms)
+        angle = rng.uniform(0.0, TWO_PI, size=terms)
+        poles = (1.0 + side * gap) * np.exp(1j * angle)
+        coeffs = rng.standard_normal((terms, dim)) + 1j * rng.standard_normal((terms, dim))
+        out.append(RationalTestFunction(poles=poles, coefficients=coeffs))
+    return out
+
+
+def test_random_test_functions_match_per_function_reference():
+    """The corpus arithmetic runs once over all functions; every pole and
+    coefficient is the per-function one, bit for bit, and the generator
+    ends in the same state."""
+    cases = [dict(), dict(max_terms=1), dict(max_terms=3, standoff_range=(0.05, 0.9)),
+             dict(sides=(1.0,), standoff_range=(0.1, 0.9)), dict(sides=(-1.0,))]
+    for seed in (0, 1, 2024):
+        for dim in (1, 2, 4):
+            for count in (1, 7, 100):
+                for kwargs in cases:
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = random_test_functions(rng, count, dim, **kwargs)
+                    want = _per_function_corpus(ref_rng, count, dim, **kwargs)
+                    assert len(got) == count
+                    for f, g in zip(got, want):
+                        assert f.poles.tobytes() == g.poles.tobytes()
+                        assert f.coefficients.tobytes() == g.coefficients.tobytes()
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert random_test_functions(np.random.default_rng(0), 0, 2) == []

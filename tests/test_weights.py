@@ -198,3 +198,53 @@ def test_clamp_rebuilds_roundoff_negative_samples():
     assert np.abs(lam[:, 1:] - [0.5, 1.0]).max() < 1e-14
     with pytest.raises(ValueError, match="not positive semidefinite"):
         MatrixWeight.from_samples(_with_spectrum([-1e-9, 0.5, 1.0]))
+
+
+def test_clean_samples_reuse_a_given_spectrum():
+    """A spectrum passed in is not solved again: a clean stack keeps its
+    bytes and spectrum, a roundoff-negative one is rebuilt exactly as without
+    it, and one below -1e-10 still raises."""
+    solved = MatrixWeight.from_samples(_with_spectrum([0.25, 0.5, 1.0]))
+    given = MatrixWeight.from_samples(solved.values, eigenvalues=solved.eigenvalues)
+    assert given.values.tobytes() == solved.values.tobytes()
+    assert given.eigenvalues is solved.eigenvalues
+    samples = _with_spectrum([-1e-12, 0.5, 1.0])
+    lam = np.linalg.eigvalsh(samples)
+    assert -1e-10 <= lam.min() < 0.0
+    given = MatrixWeight.from_samples(samples, eigenvalues=lam)
+    solved = MatrixWeight.from_samples(samples)
+    assert given.values.tobytes() == solved.values.tobytes()
+    assert given.eigenvalues.tobytes() == solved.eigenvalues.tobytes()
+    samples = _with_spectrum([-1e-9, 0.5, 1.0])
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        MatrixWeight.from_samples(samples, eigenvalues=np.linalg.eigvalsh(samples))
+    with pytest.raises(ValueError, match="eigenvalues must have shape"):
+        MatrixWeight.from_samples(samples, eigenvalues=lam[:, :2])
+
+
+def test_samples_spec_stack_matches_entry_by_entry_read(tmp_path):
+    """The samples loader converts all entries at once; the stack is the one
+    the entry-by-entry read builds, and entries without 'imag' still load."""
+    rng = np.random.default_rng(12)
+    grid = CircleGrid(64)
+    w = MatrixWeight.from_samples(random_polynomial_weight(rng, 3).samples_on(grid), grid)
+    path = tmp_path / "samples.json"
+    save_weight_spec(w, path)
+    doc = json.loads(path.read_text())
+    reference = np.stack([np.asarray(e["real"]) + 1j * np.asarray(e["imag"])
+                          for e in doc["data"]])
+    assert load_weight_spec(path).values.tobytes() \
+        == MatrixWeight.from_samples(reference).values.tobytes()
+    real_only = {"dim": 1, "kind": "samples",
+                 "data": [{"real": [[1.0 + 0.5 * np.cos(t)]]} for t in grid.nodes]}
+    path.write_text(json.dumps(real_only))
+    assert np.array_equal(load_weight_spec(path).values[:, 0, 0],
+                          1.0 + 0.5 * np.cos(grid.nodes))
+    # any malformed entry falls back to the entry-by-entry read, which names it
+    for bad in ({"real": [[1.0, 0.0]]}, {"real": {"a": 1}}, {"imag": [[0.0]]},
+                {"real": [["x"]]}):
+        doc = dict(real_only, data=list(real_only["data"]))
+        doc["data"][5] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^sample 5 must be a 1x1 real/imag matrix pair$"):
+            load_weight_spec(path)
