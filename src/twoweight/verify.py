@@ -193,8 +193,9 @@ def _degree_grid(degree: int, floor: int, cap: int) -> int:
 
 
 class _SuiteContext:
-    """Caches weights, systems, operators, models and reports across the rows
-    of one subject; the suite drops it after the subject's last row."""
+    """Caches weights, systems, operators, models, their spectra and reports
+    across the rows of one subject; the suite drops it after the subject's
+    last row."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
@@ -202,6 +203,7 @@ class _SuiteContext:
         self._systems: Dict[str, DeBrangesSystem] = {}
         self._ops: Dict[Tuple[str, int], HardyOperators] = {}
         self._models: Dict[Tuple[str, int], object] = {}
+        self._spectra: Dict[Tuple[str, int], object] = {}
         self._nondegeneracy: Dict[str, NondegeneracyReport] = {}
         self._koosis: Optional[KoosisResult] = None
         self._random_labels: Optional[list] = None
@@ -230,6 +232,13 @@ class _SuiteContext:
         if key not in self._models:
             self._models[key] = build_model(self.weight(fx), size)
         return self._models[key]
+
+    def spectrum(self, fx: str, size: int):
+        """spectral_nu1 of model(fx, size), solved once per model."""
+        key = (fx, size)
+        if key not in self._spectra:
+            self._spectra[key] = spectral_nu1(self.model(fx, size))
+        return self._spectra[key]
 
     def model_sizes(self, fx: str) -> Tuple[int, int]:
         """The model rows' two truncation sizes N and 2N: N is the degree
@@ -441,8 +450,7 @@ def _check_psi1_positivity(fx, ctx, rng):
 
 def _check_companion_psd(fx, ctx, rng):
     comp = ctx.ops(fx, ctx.config.grid_size).companion
-    lam = np.linalg.eigvalsh(comp.w1.values)
-    return max(0.0, -float(lam.min()))
+    return max(0.0, -float(comp.w1.eigenvalues.min()))
 
 
 def _check_companion_closed_form(fx, ctx, rng):
@@ -546,19 +554,19 @@ def _check_cross_validation(fx, ctx, rng):
 
 
 def _check_spectral_total(fx, ctx, rng):
-    mdl = _row_model(fx, ctx)
-    measure = spectral_nu1(mdl)
-    return float(np.linalg.norm(measure.total_mass() - mdl.gg_star, 2))
+    size = ctx.model_sizes(fx)[1]
+    measure = ctx.spectrum(fx, size)
+    return float(np.linalg.norm(measure.total_mass() - ctx.model(fx, size).gg_star, 2))
 
 
 def _check_spectral_atom(ctx, rng):
-    measure = spectral_nu1(ctx.model("W_COS", 256))
+    measure = ctx.spectrum("W_COS", 256)
     window = 10.0 * TWO_PI / 256
     return abs(measure.mass_near(np.pi, window) - 0.5)
 
 
 def _check_spectral_ramp(ctx, rng):
-    measure = spectral_nu1(ctx.model("W_DIAG", 128))
+    measure = ctx.spectrum("W_DIAG", 128)
     angles, cumulative = measure.cumulative_trace()
     ramp = 1.4 * angles / TWO_PI
     return float(np.abs(cumulative - ramp).max())
@@ -908,15 +916,44 @@ def _run_entries(checks, config: SuiteConfig, ctx: "_SuiteContext") -> list:
     return entries
 
 
+def _run_group(index: int, config: SuiteConfig) -> list:
+    """The entries of group `index` of enumerate_checks(config), run on a
+    fresh cache.  A pool task carries only the index and the config: the
+    rows are looked up again in the worker, never pickled."""
+    return _run_entries(enumerate_checks(config)[index], config, _SuiteContext(config))
+
+
+def _available_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the host cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def run_suite(config: SuiteConfig) -> Report:
     """Run every enabled check; failures are entries, not exceptions.
 
-    Each subject's rows share a cache that is dropped after its last row,
-    so the suite holds one fixture's operators at a time.  Every row draws
-    from its own (seed, name) stream and the report is sorted by name, so
-    the order of the groups moves no byte."""
-    return Report(tuple(entry for checks in enumerate_checks(config)
-                        for entry in _run_entries(checks, config, _SuiteContext(config))))
+    Each subject's rows share a cache that is dropped after its last row.
+    The subject groups are independent, so on Linux they run side by side
+    in forked workers, one per CPU of the affinity mask and at most one per
+    group; each worker holds one subject's operators at a time, and a row's
+    runtime is measured inside its worker.  With one CPU, or off Linux, they
+    run one after another in this process.  Every row draws from its own
+    (seed, name) stream and the report is sorted by name, so neither the
+    order of the groups nor the number of workers moves a byte.  An error
+    that is not a row's own ValueError entry reaches the caller."""
+    indices = range(len(enumerate_checks(config)))
+    workers = min(len(indices), _available_cpus())
+    run = partial(_run_group, config=config)
+    if workers < 2:
+        groups = list(map(run, indices))
+    else:
+        # imported here, so that starting the CLI does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            groups = list(pool.map(run, indices))
+    return Report(tuple(entry for entries in groups for entry in entries))
 
 
 def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,

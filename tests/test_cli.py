@@ -392,11 +392,13 @@ def test_version_exits_zero(capsys):
 
 
 def test_import_leaves_scipy_out():
-    # the package runs on numpy alone; a fresh interpreter proves it
-    code = "import sys, twoweight.cli; print('scipy' in sys.modules)"
+    # the package runs on numpy alone, and verify imports the process pool
+    # modules only when it forks workers; a fresh interpreter proves both
+    code = ("import sys, twoweight.cli; print(*(name in sys.modules for name in "
+            "('scipy', 'multiprocessing', 'concurrent.futures')))")
     done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False False"
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):

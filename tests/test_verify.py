@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import re
 import tracemalloc
 import weakref
@@ -19,6 +21,11 @@ from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
                                random_polynomial_weight)
 
 FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
+
+
+def cpus(monkeypatch, count):
+    """Pin run_suite's worker count: 1 is the in-process route, 2 the pool."""
+    monkeypatch.setattr(verify, "_available_cpus", lambda: count)
 
 
 def check_names(config):
@@ -235,6 +242,8 @@ def test_suite_holds_one_subject_at_a_time(monkeypatch):
             return fn(*args)
         return run
 
+    # the recorders live in this process, so the rows must run here too
+    cpus(monkeypatch, 1)
     monkeypatch.setattr(HardyOperators, "__init__", recording_init)
     monkeypatch.setattr(verify, "CHECKS", tuple((name, tol, scope, row(scope, fn))
                                                 for name, tol, scope, fn in CHECKS))
@@ -244,8 +253,10 @@ def test_suite_holds_one_subject_at_a_time(monkeypatch):
     assert max(len(subjects) for subjects in live) == 1
 
 
-def test_suite_traced_peak_stays_small():
-    # about 18 MB while every fixture's operators stayed cached to the end
+def test_suite_traced_peak_stays_small(monkeypatch):
+    # about 18 MB while every fixture's operators stayed cached to the end;
+    # tracemalloc sees this process only, so the rows must run here
+    cpus(monkeypatch, 1)
     tracemalloc.start()
     try:
         report = run_suite(SuiteConfig())
@@ -254,6 +265,48 @@ def test_suite_traced_peak_stays_small():
         tracemalloc.stop()
     assert report.passed
     assert peak <= 12e6, peak
+
+
+def test_pool_and_in_process_reports_are_byte_identical(monkeypatch, tmp_path):
+    config = SuiteConfig(seed=502245490, fixtures=("W_DIAG",), random_weights=0,
+                         grid_size=512)
+    pids = tmp_path / "pids"
+
+    def row(fn):
+        def run(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(verify, "CHECKS", tuple((name, tol, scope, row(fn))
+                                                for name, tol, scope, fn in CHECKS))
+    texts, ran_in = {}, {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        texts[count] = run_suite(config).to_text()
+        ran_in[count] = set(pids.read_text().split())
+        pids.unlink()
+    assert texts[1] == texts[2]
+    assert ran_in[1] == {str(os.getpid())}
+    assert ran_in[2] and str(os.getpid()) not in ran_in[2]
+
+
+def test_no_worker_outlives_the_suite(monkeypatch):
+    cpus(monkeypatch, 2)
+    assert run_suite(FAST).passed
+    assert multiprocessing.active_children() == []
+
+    def broken(ctx, rng):
+        raise RuntimeError("row broke")
+
+    # an error that is not a row's ValueError entry reaches the caller
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (name, tol, scope, broken if name == "circle.poisson_mean" else fn)
+        for name, tol, scope, fn in CHECKS))
+    with pytest.raises(RuntimeError, match="row broke"):
+        run_suite(FAST)
+    assert multiprocessing.active_children() == []
 
 
 def test_quadrature_rows_pass_across_seeds():
