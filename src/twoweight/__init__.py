@@ -4,35 +4,47 @@ Given a matrix weight w0 with unit mean Schatten norm, build the companion
 weight w1 and the boundary operators that make the analytic projection a
 contraction from L2(w0) to L2(w1), then verify the defining identities
 numerically.
+
+Importing the package loads none of its modules: each public name below
+loads its home module on first use (PEP 562), so `import twoweight.cli`
+stays small and each subcommand loads only the layers it runs.
 """
 
-from .circle import CircleGrid, FourierSeries, MatrixSampleField, circle_mean, fourier_coefficients
-from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
-from .hardy import HardyOperators, RationalTestFunction, random_test_functions
-from .herglotz import HerglotzEvaluator, radial_limit
-from .model import (TruncatedModel, build_model, cross_validate, psi_direct,
-                    spectral_nu1)
-from .verify import (DEFAULT_SEED, KoosisResult, Report, SuiteConfig,
-                     koosis_pipeline, nondegeneracy_report, parse_report,
-                     run_suite, run_weight_checks)
-from .weights import (FIXTURE_NAMES, MatrixWeight, fixture, koosis_transform,
-                      load_weight_spec, muckenhoupt_sup, normalize,
-                      random_polynomial_weight, save_weight_spec)
+import importlib
 
 __version__ = "0.1.0"
+DEFAULT_SEED = 1729
 
-__all__ = [
-    "CircleGrid", "FourierSeries", "MatrixSampleField", "circle_mean",
-    "fourier_coefficients",
-    "MatrixWeight", "FIXTURE_NAMES", "fixture", "normalize",
-    "koosis_transform", "muckenhoupt_sup", "random_polynomial_weight",
-    "load_weight_spec", "save_weight_spec",
-    "HerglotzEvaluator", "radial_limit",
-    "DeBrangesSystem", "CompanionWeightResult", "build_system",
-    "TruncatedModel", "build_model", "cross_validate", "psi_direct",
-    "spectral_nu1",
-    "HardyOperators", "RationalTestFunction", "random_test_functions",
-    "Report", "SuiteConfig", "run_suite", "run_weight_checks", "parse_report",
-    "KoosisResult", "koosis_pipeline", "nondegeneracy_report", "DEFAULT_SEED",
-    "__version__",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "CircleGrid": "circle", "FourierSeries": "circle", "MatrixSampleField": "circle",
+    "circle_mean": "circle", "fourier_coefficients": "circle",
+    "MatrixWeight": "weights", "FIXTURE_NAMES": "weights", "fixture": "weights",
+    "normalize": "weights", "koosis_transform": "weights", "muckenhoupt_sup": "weights",
+    "random_polynomial_weight": "weights", "load_weight_spec": "weights",
+    "save_weight_spec": "weights",
+    "HerglotzEvaluator": "herglotz", "radial_limit": "herglotz",
+    "DeBrangesSystem": "debranges", "CompanionWeightResult": "debranges",
+    "build_system": "debranges",
+    "TruncatedModel": "model", "build_model": "model", "cross_validate": "model",
+    "psi_direct": "model", "spectral_nu1": "model",
+    "HardyOperators": "hardy", "RationalTestFunction": "hardy",
+    "random_test_functions": "hardy",
+    "Report": "verify", "SuiteConfig": "verify", "run_suite": "verify",
+    "run_weight_checks": "verify", "parse_report": "verify",
+    "KoosisResult": "koosis", "koosis_pipeline": "koosis",
+    "nondegeneracy_report": "debranges",
+}
+
+__all__ = [*_HOMES, "DEFAULT_SEED", "__version__"]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,15 +21,14 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import DEFAULT_SEED, __version__
 from .circle import CircleGrid, check_grid_size
-from .debranges import build_system
-from .model import build_model, cross_validate, spectral_nu1
-from .verify import (DEFAULT_SEED, SuiteConfig, koosis_pipeline,
-                     nondegeneracy_report, parse_report, run_suite,
-                     run_weight_checks)
 from .weights import (FIXTURE_NAMES, fixture, load_weight_spec, normalize,
                       weight_spec_document)
+
+# Each handler imports the layers it runs when it runs, so starting the CLI
+# loads only the parser's modules (circle and weights) and construct never
+# loads hardy, model or verify.
 
 MODEL_POINTS = (0.3 + 0.0j, -0.2 + 0.35j, 0.45j)
 
@@ -233,6 +232,8 @@ def _load_weight(args):
 # -- construct ----------------------------------------------------------------
 
 def _cmd_construct(args) -> int:
+    from .debranges import build_system, nondegeneracy_report
+
     weight, source, digest = _load_weight(args)
     weight = normalize(weight)
     system = build_system(weight)
@@ -263,6 +264,8 @@ def _cmd_construct(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from .verify import SuiteConfig, run_suite, run_weight_checks
+
     tolerances = dict(args.tolerance or [])
     if args.weight_spec:
         with open(args.weight_spec, "rb") as fh:
@@ -292,6 +295,9 @@ def _cmd_verify(args) -> int:
 # -- model-check ----------------------------------------------------------------
 
 def _cmd_model_check(args) -> int:
+    from .debranges import build_system
+    from .model import build_model, cross_validate, spectral_nu1
+
     weight, source, digest = _load_weight(args)
     weight = normalize(weight)
     system = build_system(weight)
@@ -329,7 +335,9 @@ def _scalar_input(args):
         with open(args.samples, "rb") as fh:
             blob = fh.read()
         data = json.loads(blob.decode())
-        if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+        # JSON true and false load as bool, a subclass of int: not values
+        if not isinstance(data, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
             raise ValueError("samples file must hold a flat list of values")
         v0 = np.asarray(data, dtype=float)
         grid = CircleGrid(check_grid_size(v0.size))
@@ -345,6 +353,8 @@ def _scalar_input(args):
 
 
 def _cmd_scalar(args) -> int:
+    from .koosis import koosis_pipeline
+
     v0, grid, source, digest = _scalar_input(args)
     result = koosis_pipeline(v0, grid, seed=args.seed, basis_size=args.basis_size)
     params = {"seed": args.seed, "basis-size": args.basis_size,
@@ -362,6 +372,8 @@ def _cmd_scalar(args) -> int:
 # -- report ----------------------------------------------------------------------
 
 def _cmd_report(args) -> int:
+    from .verify import parse_report
+
     with open(args.path) as fh:
         text = fh.read()
     if "status=" not in text:

@@ -1,6 +1,7 @@
 """Scattering data built from a normalized weight: the auxiliary operator
 alpha, the functions D0/D1/psi1, their boundary values, the companion weight
-as the boundary density of psi1, and the singular-mass deficit."""
+as the boundary density of psi1, the singular-mass deficit, and the
+per-node non-degeneracy report that compares w1 with w0."""
 
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ PSD_CLAMP = 1e-10
 # circle, and the a.c. spike there has width ~delta: the grid resolves it
 # only while cond(D0+) * 2pi/M stays O(1).  Next to an exact atom it reads ~1.
 RESOLVE = 4.0
+# the non-degeneracy report: rank cut-off, and the cond(D0+) beyond which a
+# node is left out of its comparisons
+RANK_THRESHOLD = 1e-8
+COND_LIMIT = 1e6
 
 
 # LAPACK's gesdd rescales a matrix whose largest entry lies outside
@@ -165,4 +170,58 @@ def build_system(w0: MatrixWeight) -> DeBrangesSystem:
         alpha=alpha,
         psi0=HerglotzEvaluator.from_weight(w0),
         weight=w0,
+    )
+
+
+# -- non-degeneracy report ----------------------------------------------------
+
+def _psd_rank_and_norm(lam: np.ndarray):
+    """Rank (eigenvalues above RANK_THRESHOLD) and operator norm of each
+    Hermitian matrix, from its ascending eigenvalues lam (..., k)."""
+    norm = np.maximum(lam[..., -1], -lam[..., 0])
+    return (lam > RANK_THRESHOLD).sum(axis=-1), norm
+
+
+@dataclass(frozen=True)
+class NondegeneracyReport:
+    """Per-node ranks of w0 and w1 and the norm lower bound
+    ||w1|| >= ||w0||/||D0+||^2, compared on the usable nodes: unflagged, with
+    cond(D0+) <= COND_LIMIT."""
+
+    usable: np.ndarray
+    rank_w0: np.ndarray
+    rank_w1: np.ndarray
+    norm_w1: np.ndarray
+    norm_bound: np.ndarray
+
+    @property
+    def rank_mismatches(self) -> int:
+        keep = self.usable
+        return int((self.rank_w0[keep] != self.rank_w1[keep]).sum())
+
+    @property
+    def bound_gaps(self) -> np.ndarray:
+        """Excess of the bound over ||w1|| at each usable node."""
+        return self.norm_bound[self.usable] - self.norm_w1[self.usable]
+
+    @property
+    def bound_violations(self) -> int:
+        return int((self.bound_gaps > 1e-8).sum())
+
+
+def nondegeneracy_report(system: DeBrangesSystem,
+                         result: CompanionWeightResult) -> NondegeneracyReport:
+    # both spectra were found when the samples were validated
+    rank_w0, w0_norm = _psd_rank_and_norm(system.weight.field_on(result.grid).eigenvalues)
+    rank_w1, w1_norm = _psd_rank_and_norm(result.w1.eigenvalues)
+    d0_norm = result.d0_norm
+    # flagged atoms can have D0 -> 0 there; the bound is vacuous at such nodes
+    bound = np.divide(w0_norm, d0_norm ** 2,
+                      out=np.full_like(w0_norm, np.inf), where=d0_norm > 0)
+    return NondegeneracyReport(
+        usable=result.unflagged & (result.cond_profile <= COND_LIMIT),
+        rank_w0=rank_w0,
+        rank_w1=rank_w1,
+        norm_w1=w1_norm,
+        norm_bound=bound,
     )

@@ -1,5 +1,5 @@
-"""Orchestrated property suites over fixtures and random weights, the scalar
-companion-weight pipeline, and structured reports.
+"""Orchestrated property suites over fixtures and random weights, and
+structured reports.
 
 Check failures are report entries, never exceptions: diagnostics on
 near-singular weights are the interesting output.
@@ -17,23 +17,22 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean,
                      fourier_coefficients, next_power_of_two, poisson_kernel)
-from .debranges import CompanionWeightResult, DeBrangesSystem, build_system
-from .hardy import (HardyOperators, RationalTestFunction, gram_norm_estimate,
-                    random_test_functions)
+from .debranges import (DeBrangesSystem, NondegeneracyReport, build_system,
+                        nondegeneracy_report)
+from .hardy import HardyOperators, RationalTestFunction, random_test_functions
 from .herglotz import pair_kernel_quadrature, psi_quadrature, radial_limit
+from .koosis import KoosisResult, _check_seed, koosis_pipeline
 from .model import (BUILD_CAP, build_model, cross_validate, intertwine_residual,
                     model_identity_residual, spectral_nu1, unitarity_residual)
-from .weights import (FIXTURE_NAMES, MatrixWeight, _as_scalar_samples,
-                      _mean_norm, fixture, koosis_transform,
-                      load_weight_spec, muckenhoupt_sup, normalize, psd_sqrt,
-                      random_polynomial_weight, save_weight_spec)
+from .weights import (FIXTURE_NAMES, MatrixWeight, _mean_norm, fixture,
+                      koosis_transform, load_weight_spec, muckenhoupt_sup,
+                      normalize, psd_sqrt, random_polynomial_weight,
+                      save_weight_spec)
 
-DEFAULT_SEED = 1729
 RANDOM_DIM = 3
-RANK_THRESHOLD = 1e-8
-COND_LIMIT = 1e6
 CONTRACTION_GRID = 4096
 ISOMETRY_GRID = 1024
 QUADRATURE_GRID = 1024
@@ -134,11 +133,6 @@ def parse_report(text: str) -> Report:
 
 
 # -- suite configuration ---------------------------------------------------
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -299,13 +293,6 @@ def _draw_pairs(rng: np.random.Generator, count: int, include_origin: bool = Tru
 
 def _imag_part(a: np.ndarray) -> np.ndarray:
     return (a - np.conj(np.swapaxes(a, -1, -2))) / 2j
-
-
-def _psd_rank_and_norm(lam: np.ndarray):
-    """Rank (eigenvalues above RANK_THRESHOLD) and operator norm of each
-    Hermitian matrix, from its ascending eigenvalues lam (..., k)."""
-    norm = np.maximum(lam[..., -1], -lam[..., 0])
-    return (lam > RANK_THRESHOLD).sum(axis=-1), norm
 
 
 # -- individual checks (value <= tolerance means pass) ----------------------
@@ -975,135 +962,3 @@ def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
     ctx = _SuiteContext(config)
     ctx.register(label, normalize(weight))
     return Report(tuple(_run_entries(_weight_checks(label, config), config, ctx)))
-
-
-# -- scalar pipeline ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class KoosisResult:
-    """Scalar companion pipeline output: v1 with c folded back so that the
-    plain projection is a contraction L2(v0) -> L2(v1)."""
-
-    grid: CircleGrid
-    v0: np.ndarray
-    v1: np.ndarray
-    flags: np.ndarray
-    constant: float
-    companion: CompanionWeightResult
-    diagnostics: dict
-
-    @property
-    def unflagged(self) -> np.ndarray:
-        return ~self.flags
-
-
-def _outside_pole_mask(f: RationalTestFunction) -> np.ndarray:
-    """Plain analytic projection on the rational class keeps outside poles."""
-    return np.abs(f.poles) > 1.0
-
-
-def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
-                    basis_size: int = 12) -> KoosisResult:
-    """w0 = normalize(1/v0), run the construction, fold the constant back.
-
-    With u = c/v0 normalized and u1 its companion, v1 = c*u1 makes the plain
-    analytic projection a contraction from L2(v0) to L2(v1): both sides of
-    the contraction inequality scale by the same c under the substitution
-    g = u f.  Samples of +inf in v0 are legal (zeros of the inverse weight).
-    """
-    _check_seed(seed)
-    if basis_size < 1:
-        raise ValueError("basis_size must be >= 1")
-    samples = _as_scalar_samples(v0, grid)
-    w0, constant = koosis_transform(samples, grid)
-    system = build_system(w0)
-    companion = system.companion_weight(grid)
-    v1 = constant * companion.w1.values[:, 0, 0].real
-    flags = companion.singular_flags
-    usable = ~flags & np.isfinite(samples)
-    if not np.any(usable):
-        raise ValueError("no usable nodes for the pipeline diagnostics")
-
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(v1[usable]))
-    log_integral = float(np.abs(logs).mean())
-
-    rng = np.random.default_rng([int(seed), zlib.crc32(b"koosis-basis")])
-    basis = random_test_functions(rng, basis_size, 1, standoff_range=(0.05, 0.9))
-    fields = np.stack([f(grid.points)[:, 0] for f in basis], axis=1)
-    images = np.zeros_like(fields)
-    for i, f in enumerate(basis):
-        keep = _outside_pole_mask(f)
-        if np.any(keep):
-            part = RationalTestFunction(f.poles[keep], f.coefficients[keep])
-            images[:, i] = part(grid.points)[:, 0]
-    weight0 = np.where(usable, samples, 0.0)
-    weight1 = np.where(usable, v1, 0.0)
-    gram0 = (fields.conj().T * weight0) @ fields / grid.size
-    gram1 = (images.conj().T * weight1) @ images / grid.size
-    galerkin = gram_norm_estimate(0.5 * (gram1 + gram1.conj().T),
-                                  0.5 * (gram0 + gram0.conj().T))
-
-    try:
-        muck = muckenhoupt_sup(samples, grid)
-    except ValueError:
-        muck = float("inf")
-
-    diagnostics = {
-        "galerkin_estimate": float(galerkin),
-        "log_integral": log_integral,
-        "muckenhoupt_sup": float(muck),
-        "deficit": float(companion.deficit),
-        "constant": float(constant),
-        "flagged_count": int(flags.sum()),
-    }
-    return KoosisResult(grid=grid, v0=samples, v1=v1, flags=flags,
-                        constant=float(constant), companion=companion,
-                        diagnostics=diagnostics)
-
-
-# -- non-degeneracy report ----------------------------------------------------
-
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    """Per-node ranks of w0 and w1 and the norm lower bound
-    ||w1|| >= ||w0||/||D0+||^2, compared on the usable nodes: unflagged, with
-    cond(D0+) <= COND_LIMIT."""
-
-    usable: np.ndarray
-    rank_w0: np.ndarray
-    rank_w1: np.ndarray
-    norm_w1: np.ndarray
-    norm_bound: np.ndarray
-
-    @property
-    def rank_mismatches(self) -> int:
-        keep = self.usable
-        return int((self.rank_w0[keep] != self.rank_w1[keep]).sum())
-
-    @property
-    def bound_gaps(self) -> np.ndarray:
-        """Excess of the bound over ||w1|| at each usable node."""
-        return self.norm_bound[self.usable] - self.norm_w1[self.usable]
-
-    @property
-    def bound_violations(self) -> int:
-        return int((self.bound_gaps > 1e-8).sum())
-
-
-def nondegeneracy_report(system: DeBrangesSystem,
-                         result: CompanionWeightResult) -> NondegeneracyReport:
-    # both spectra were found when the samples were validated
-    rank_w0, w0_norm = _psd_rank_and_norm(system.weight.field_on(result.grid).eigenvalues)
-    rank_w1, w1_norm = _psd_rank_and_norm(result.w1.eigenvalues)
-    d0_norm = result.d0_norm
-    # flagged atoms can have D0 -> 0 there; the bound is vacuous at such nodes
-    bound = np.divide(w0_norm, d0_norm ** 2,
-                      out=np.full_like(w0_norm, np.inf), where=d0_norm > 0)
-    return NondegeneracyReport(
-        usable=result.unflagged & (result.cond_profile <= COND_LIMIT),
-        rank_w0=rank_w0,
-        rank_w1=rank_w1,
-        norm_w1=w1_norm,
-        norm_bound=bound,
-    )

@@ -245,8 +245,10 @@ class MatrixWeight:
         if self.kind == "fourier":
             return MatrixWeight(kind="fourier", dim=self.dim, schatten_p=self.schatten_p,
                                 fourier=self.fourier * factor)
+        # c * lam is the spectrum of c * W for c >= 0, in the same order
         return MatrixWeight(kind="samples", dim=self.dim, schatten_p=self.schatten_p,
-                            grid=self.grid, values=self.values * factor)
+                            grid=self.grid, values=self.values * factor,
+                            eigenvalues=self.eigenvalues * factor)
 
 
 def _mean_norm(w: MatrixWeight) -> float:
@@ -413,11 +415,21 @@ def save_weight_spec(w: MatrixWeight, path) -> None:
 
 def _number(value, convert, what: str):
     """convert(value), or a ValueError naming the spec field (int() of an
-    infinite JSON number overflows)."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"weight spec {what} must be a number, got {json.dumps(value)}") from None
+    infinite JSON number overflows; JSON true and false are not numbers)."""
+    if not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"weight spec {what} must be a number, got {json.dumps(value)}")
+
+
+def _integer(value, what: str) -> int:
+    """_number(value, int, what), refusing a fraction that int() would cut."""
+    number = _number(value, int, what)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"weight spec {what} must be an integer, got {json.dumps(value)}")
+    return number
 
 
 def _matrix_from_entry(entry: dict, dim: int, what: str) -> np.ndarray:
@@ -458,7 +470,7 @@ def load_weight_spec(path) -> MatrixWeight:
     if not isinstance(doc, dict):
         raise ValueError("weight spec must be a JSON object")
     try:
-        dim = _number(doc["dim"], int, "dim")
+        dim = _integer(doc["dim"], "dim")
         kind = doc["kind"]
         data = doc["data"]
     except KeyError as exc:
@@ -474,7 +486,7 @@ def load_weight_spec(path) -> MatrixWeight:
         for entry in data:
             if "n" not in entry:
                 raise ValueError("Fourier entries need an order field 'n'")
-            order = _number(entry["n"], int, "order n")
+            order = _integer(entry["n"], "order n")
             if order < 0:
                 raise ValueError("Fourier entries carry n >= 0 only")
             if order > MAX_ORDER:

@@ -11,11 +11,14 @@ import pytest
 import twoweight
 from twoweight.circle import CircleGrid
 from twoweight import cli
+from twoweight import model as model_module
 from twoweight.cli import _fmt, main
 from twoweight.debranges import DeBrangesSystem, build_system
 from twoweight.model import (CrossValidation, build_model, cross_validate, psi_direct,
                              spectral_nu1)
-from twoweight.verify import DEFAULT_SEED, koosis_pipeline, parse_report
+from twoweight import DEFAULT_SEED
+from twoweight.koosis import koosis_pipeline
+from twoweight.verify import parse_report
 from twoweight.weights import (MatrixWeight, fixture, load_weight_spec, normalize,
                                random_polynomial_weight, save_weight_spec)
 
@@ -223,13 +226,12 @@ def test_model_check_table(tmp_path):
 
 def test_model_check_builds_one_model_per_size(tmp_path, monkeypatch):
     built = []
-    build_model = cli.build_model
 
     def counting(weight, size):
         built.append(size)
         return build_model(weight, size)
 
-    monkeypatch.setattr(cli, "build_model", counting)
+    monkeypatch.setattr(model_module, "build_model", counting)
     rc = main(["model-check", "--fixture", "W_COS",
                "--modes", "64", "128", "-o", str(tmp_path / "model.csv")])
     assert rc == 0
@@ -339,6 +341,22 @@ MALFORMED = {
     "dim-infinite": ("construct", "--weight-spec",
                      {"dim": float("inf"), "kind": "fourier",
                       "data": [{"n": 0, "real": [[1.0]]}]}),
+    # int() would cut these to 1, and JSON true would read as 1; read so,
+    # each spec is a valid weight (1 + cos(theta)/2 for the orders)
+    "dim-fractional": ("construct", "--weight-spec",
+                       {"dim": 1.5, "kind": "fourier", "data": [_ONE_ORDER]}),
+    "order-fractional": ("construct", "--weight-spec",
+                         {"dim": 1, "kind": "fourier",
+                          "data": [_ONE_ORDER, {"n": 1.5, "real": [[0.25]]}]}),
+    "dim-bool": ("construct", "--weight-spec",
+                 {"dim": True, "kind": "fourier", "data": [_ONE_ORDER]}),
+    "order-bool": ("construct", "--weight-spec",
+                   {"dim": 1, "kind": "fourier",
+                    "data": [_ONE_ORDER, {"n": True, "real": [[0.25]]}]}),
+    "schatten-p-bool": ("construct", "--weight-spec",
+                        {"dim": 1, "schatten_p": True, "kind": "fourier",
+                         "data": [_ONE_ORDER]}),
+    "samples-bool": ("scalar", "--samples", [True] * 64),
 }
 
 
@@ -391,14 +409,66 @@ def test_version_exits_zero(capsys):
     assert "twoweight" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_out():
-    # the package runs on numpy alone, and verify imports the process pool
-    # modules only when it forks workers; a fresh interpreter proves both
-    code = ("import sys, twoweight.cli; print(*(name in sys.modules for name in "
-            "('scipy', 'multiprocessing', 'concurrent.futures')))")
-    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False False False"
+def _loaded_after(code):
+    """The twoweight modules, and the other named ones, that a fresh
+    interpreter holds after running `code`."""
+    probe = (code + "\nimport sys; print(*sorted(name for name in sys.modules if "
+             "name.split('.')[0] in ('twoweight', 'scipy', 'multiprocessing') "
+             "or name == 'concurrent.futures'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(done.stdout.split())
+
+
+def test_import_cli_loads_only_the_parser_modules():
+    # the package runs on numpy alone, verify imports the process pool
+    # modules only when it forks workers, and the handlers import the layers
+    # they run: starting the CLI loads the parser's modules and nothing else
+    assert _loaded_after("import twoweight.cli") == {
+        "twoweight", "twoweight.cli", "twoweight.circle", "twoweight.weights"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["construct", "--fixture", "W_COS", "-M", "64"],
+     {"twoweight.verify", "twoweight.hardy", "twoweight.model"}),
+    (["model-check", "--fixture", "W_COS", "--modes", "64"],
+     {"twoweight.verify", "twoweight.hardy"}),
+    (["scalar", "--preset", "const", "-M", "64"],
+     {"twoweight.verify", "twoweight.model"}),
+])
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv, absent):
+    out = tmp_path / "out.csv"
+    loaded = _loaded_after(f"from twoweight.cli import main; "
+                           f"assert main({[*argv, '-o', str(out)]!r}) == 0")
+    assert out.exists()
+    assert "twoweight.debranges" in loaded
+    assert not loaded & absent, loaded & absent
+    assert not {"scipy", "multiprocessing"} & loaded
+
+
+def test_package_names_resolve_to_their_home_modules():
+    code = """
+import importlib, twoweight
+for name in twoweight.__all__:
+    value = getattr(twoweight, name)
+    home = importlib.import_module("twoweight." + twoweight._HOMES[name]) \
+        if name in twoweight._HOMES else twoweight
+    assert value is getattr(home, name), name
+    assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert name in dir(twoweight), name
+from twoweight import DEFAULT_SEED, koosis_pipeline, nondegeneracy_report
+assert DEFAULT_SEED == 1729
+try:
+    twoweight.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+    loaded = _loaded_after(code)
+    # resolving every public name loads every layer, and still no scipy
+    assert {"twoweight.verify", "twoweight.koosis", "twoweight.model"} <= loaded
+    assert "scipy" not in loaded
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -628,7 +698,7 @@ def test_model_check_takes_psi1_once(tmp_path, capfd, monkeypatch, source):
     out = tmp_path / "model.csv"
     assert _quiet_main(["model-check", *argv, "-o", str(out)], capfd) == 0
     assert calls == [len(cli.MODEL_POINTS)]
-    monkeypatch.setattr(cli, "cross_validate", _per_point_cross_validate)
+    monkeypatch.setattr(model_module, "cross_validate", _per_point_cross_validate)
     reference = tmp_path / "reference.csv"
     assert _quiet_main(["model-check", *argv, "-o", str(reference)], capfd) == 0
     assert out.read_bytes() == reference.read_bytes()

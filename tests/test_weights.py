@@ -222,6 +222,32 @@ def test_clean_samples_reuse_a_given_spectrum():
         MatrixWeight.from_samples(samples, eigenvalues=lam[:, :2])
 
 
+def test_scaled_samples_carry_the_scaled_spectrum(monkeypatch):
+    """c * lam is the spectrum of c * W: scaled, and so normalize, solve no
+    eigenproblem over a sampled weight's stack (one eigvalsh until the
+    scaled spectrum was passed on)."""
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        grid = CircleGrid(256)
+        w = MatrixWeight.from_samples(
+            3.7 * random_polynomial_weight(rng, dim).samples_on(grid), grid)
+        for factor in (0.3, 1.0 / 3.7, 2.5):
+            scaled = w.scaled(factor)
+            exact = np.linalg.eigvalsh(scaled.values)
+            assert np.abs(scaled.eigenvalues - exact).max() <= 1e-14 * np.abs(exact).max()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        normalize(w)
+        monkeypatch.undo()
+        assert calls == []
+
+
 def test_samples_spec_stack_matches_entry_by_entry_read(tmp_path):
     """The samples loader converts all entries at once; the stack is the one
     the entry-by-entry read builds, and entries without 'imag' still load."""
