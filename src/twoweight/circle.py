@@ -124,16 +124,18 @@ def synthesize_series(coeffs: np.ndarray, grid: CircleGrid) -> np.ndarray:
     d = coeffs.shape[0] - 1
     if d >= m:
         raise ValueError("grid too coarse for the series degree")
-    spec = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
-    spec[:d + 1] = coeffs
-    return np.fft.ifft(spec, axis=0) * m
+    return np.fft.ifft(coeffs, n=m, axis=0, norm="forward")
 
 
 def evaluate_series(coeffs: np.ndarray, z) -> np.ndarray:
-    """sum_{n=0}^{d} c_n z^n at each point of z; output shape z.shape + coeffs.shape[1:]."""
-    z = np.asarray(z, dtype=complex)
-    powers = z[..., None] ** np.arange(1, coeffs.shape[0])
-    return coeffs[0] + np.einsum("...n,nab->...ab", powers, coeffs[1:])
+    """sum_{n=0}^{d} c_n z^n at each point of z by Horner's rule, with no
+    (points, d) table of powers; output shape z.shape + (k, k)."""
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    acc = np.zeros(z.shape[:-2] + coeffs.shape[1:], dtype=complex)
+    for c in coeffs[::-1]:
+        acc *= z
+        acc += c
+    return acc
 
 
 def fourier_coefficients(field: MatrixSampleField) -> FourierSeries:

@@ -11,11 +11,10 @@ import numpy as np
 
 from .circle import TWO_PI, CircleGrid
 from .herglotz import HerglotzEvaluator
-from .weights import MatrixWeight, hermitian_part, moment_zero, psd_rebuild
+from .weights import PSD_CLAMP, MatrixWeight, hermitian_part, moment_zero, psd_rebuild
 
 COND_CUTOFF = 1e8
 SNAP_ONE = 1e-12
-PSD_CLAMP = 1e-10
 # cond(D0+) ~ 1/delta next to a zero of det D0 at distance delta from the
 # circle, and the a.c. spike there has width ~delta: the grid resolves it
 # only while cond(D0+) * 2pi/M stays O(1).  Next to an exact atom it reads ~1.

@@ -104,11 +104,11 @@ class MatrixWeight:
 
     Fourier form stores orders n = 0..d only; negative orders are implied by
     the Hermitian symmetry W_hat(-n) = W_hat(n)*.  Both forms compute these
-    analytic coefficients once (`coefficients`), and every realization of
-    the weight evaluates that one series.  schatten_p is carried with the
-    weight because normalization depends on it.  A sampled weight keeps the
-    eigenvalues of its stored values (ascending per node), found when they
-    were validated (or as the caller passed them to from_samples).
+    analytic coefficients once (`coefficients`); a realization sums that one
+    series, by one inverse FFT on a grid and by Horner at other points.
+    schatten_p is carried with the weight because normalization depends on
+    it.  A sampled weight keeps the eigenvalues of its stored values (ascending
+    per node), found when validated (or as the caller passed them to from_samples).
     """
 
     kind: str
@@ -201,10 +201,10 @@ class MatrixWeight:
     def samples_on(self, grid: CircleGrid) -> np.ndarray:
         """Realize the weight as (M, k, k) PSD samples on the given grid.
 
-        Fourier form: the exact series at the nodes.  Sampled form: the
-        stored samples on their own grid, the shared nodes on a coarser
-        (dyadic) grid, and the band-limited interpolant with orders
-        |n| < M0/2 on a finer one.
+        Sampled form on its own grid or a coarser (dyadic) one: the stored
+        samples at the shared nodes.  Otherwise the series of `coefficients`
+        by one inverse FFT (the band-limited interpolant, orders |n| < M0/2,
+        for sampled form); the grid must have at least 2(d + 1) nodes.
         """
         return self._psd_samples(grid)[0]
 
@@ -216,24 +216,21 @@ class MatrixWeight:
     def _psd_samples(self, grid: CircleGrid):
         """(samples, eigenvalues) on the grid, validated by _clean_psd_samples
         or read from the stored samples."""
-        if self.kind == "samples":
-            if grid.size <= self.grid.size:
-                step = self.grid.size // grid.size
-                return self.values[::step].copy(), self.eigenvalues[::step].copy()
-            return _clean_psd_samples(self._realize(synthesize_series, grid))
+        if self.kind == "samples" and grid.size <= self.grid.size:
+            step = self.grid.size // grid.size
+            return self.values[::step].copy(), self.eigenvalues[::step].copy()
         if grid.size < 2 * (self.degree + 1):
             raise ValueError("grid too coarse for the weight degree")
-        return _clean_psd_samples(self.value_at(grid.nodes))
+        return _clean_psd_samples(self._realize(synthesize_series, grid))
 
     def value_at(self, theta) -> np.ndarray:
-        """Pointwise value: exact series in Fourier form, band-limited
-        trigonometric interpolation in sampled form."""
-        points = np.exp(1j * np.asarray(theta, dtype=float))
-        return self._realize(evaluate_series, points)
+        """The series at arbitrary angles by Horner, O(len(theta) * d): the exact
+        series in Fourier form, the band-limited interpolant in sampled form."""
+        return self._realize(evaluate_series, np.exp(1j * np.asarray(theta, dtype=float)))
 
     def _realize(self, series_fn, where) -> np.ndarray:
-        """w = W(0) + T + T* with T = sum_{n>=1} W(n) z^n evaluated by
-        series_fn (evaluate_series at points, synthesize_series on a grid)."""
+        """w = W(0) + T + T* with T = sum_{n>=1} W(n) z^n summed by series_fn
+        (evaluate_series by Horner at points, synthesize_series by FFT on a grid)."""
         tail = self.coefficients.copy()
         tail[0] = 0.0
         t = series_fn(tail, where)
@@ -413,13 +410,19 @@ def save_weight_spec(w: MatrixWeight, path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: a Python int or float, never a bool (JSON true/false)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, convert, what: str):
-    """convert(value), or a ValueError naming the spec field (int() of an
-    infinite JSON number overflows; JSON true and false are not numbers)."""
-    if not isinstance(value, bool):
+    """convert(value) of a JSON number, or a ValueError naming the spec field
+    (a JSON string or true/false is not a number; int() of an infinite one
+    overflows)."""
+    if _is_number(value):
         try:
             return convert(value)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             pass
     raise ValueError(f"weight spec {what} must be a number, got {json.dumps(value)}")
 
@@ -432,15 +435,23 @@ def _integer(value, what: str) -> int:
     return number
 
 
+def _number_rows(rows, dim: int) -> bool:
+    """rows is a dim x dim list of lists of JSON numbers."""
+    return (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(row, list) and len(row) == dim and all(map(_is_number, row))
+                    for row in rows))
+
+
 def _matrix_from_entry(entry: dict, dim: int, what: str) -> np.ndarray:
-    try:
-        real = np.asarray(entry.get("real"), dtype=float)
-        imag_raw = entry.get("imag")
-        imag = np.zeros_like(real) if imag_raw is None else np.asarray(imag_raw, dtype=float)
-        if real.shape == imag.shape == (dim, dim):
-            return real + 1j * imag
-    except (TypeError, ValueError, OverflowError):  # an integer beyond double range
-        pass
+    """The entry's real (and optional imag) rows as one complex block; every
+    element is checked, so a JSON string or true/false is refused."""
+    real, imag = entry.get("real"), entry.get("imag")
+    if _number_rows(real, dim) and (imag is None or _number_rows(imag, dim)):
+        try:
+            imag = 0.0 if imag is None else np.asarray(imag, dtype=float)
+            return np.asarray(real, dtype=float) + 1j * imag
+        except OverflowError:  # an integer beyond double range
+            pass
     raise ValueError(f"{what} must be a {dim}x{dim} real/imag matrix pair")
 
 

@@ -54,6 +54,20 @@ def _table(path):
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
+def test_order_limit_spec_constructs_on_the_largest_grid(tmp_path):
+    # the highest order a spec may carry; each realization of it is one
+    # inverse FFT, where a table of z^n on its natural grid would be 137 GB
+    spec = tmp_path / "limit.json"
+    spec.write_text(json.dumps({"dim": 1, "kind": "fourier", "data": [
+        {"n": 0, "real": [[1.0]]}, {"n": 32767, "real": [[0.25]]}]}))
+    assert load_weight_spec(spec).degree == 32767
+    out = tmp_path / "limit.csv"
+    assert main(["construct", "--weight-spec", str(spec), "-M", "65536", "-o", str(out)]) == 0
+    table = _table(out)
+    assert len(table["theta"]) == 65536
+    assert not table["flag"].any()
+
+
 def test_construct_diag_table(tmp_path):
     out = tmp_path / "diag.csv"
     rc = main(["construct", "--fixture", "W_DIAG", "-M", "64", "-o", str(out)])
@@ -357,6 +371,22 @@ MALFORMED = {
                         {"dim": 1, "schatten_p": True, "kind": "fourier",
                          "data": [_ONE_ORDER]}),
     "samples-bool": ("scalar", "--samples", [True] * 64),
+    # float() and int() read these strings, and a bool entry reads as 1.0;
+    # read so, each spec is a valid weight
+    "dim-string": ("construct", "--weight-spec",
+                   {"dim": "1", "kind": "fourier", "data": [_ONE_ORDER]}),
+    "order-string": ("construct", "--weight-spec",
+                     {"dim": 1, "kind": "fourier",
+                      "data": [_ONE_ORDER, {"n": "1", "real": [[0.25]]}]}),
+    "schatten-p-string": ("construct", "--weight-spec",
+                          {"dim": 1, "schatten_p": "2", "kind": "fourier",
+                           "data": [_ONE_ORDER]}),
+    "coeff-bool": ("construct", "--weight-spec",
+                   {"dim": 2, "kind": "fourier",
+                    "data": [{"n": 0, "real": [[1.0, 0.0], [0.0, True]]}]}),
+    "coeff-string": ("construct", "--weight-spec",
+                     {"dim": 1, "kind": "fourier",
+                      "data": [_ONE_ORDER, {"n": 1, "real": [["0.25"]]}]}),
 }
 
 

@@ -12,6 +12,32 @@ from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
 
 RNG = np.random.default_rng(2024)
 
+# the long-double reference needs a format finer than double (x87 extended
+# or IEEE quad); where long double is double it proves nothing
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                       reason="long double is no wider than double")
+
+
+def _dominant_fourier_weight(rng, degree, dim):
+    """Random orders 1..degree and W(0) = (2 sum ||W(n)|| + 1) I: PSD at every
+    point, so the realized samples are never clamped."""
+    coeffs = rng.standard_normal((degree + 1, dim, dim)) \
+        + 1j * rng.standard_normal((degree + 1, dim, dim))
+    coeffs[0] = (2.0 * np.linalg.norm(coeffs[1:], 2, axis=(1, 2)).sum() + 1.0) * np.eye(dim)
+    return MatrixWeight.from_fourier(coeffs)
+
+
+def _long_double_samples(coeffs, size, nodes):
+    """W(0) + sum_{n>=1} (W(n) e^{in theta} + h.c.) at theta_m = 2 pi m/size for
+    m in nodes, in long double with the phase m n reduced mod size exactly."""
+    n = np.arange(1, coeffs.shape[0])
+    angle = ((nodes[:, None] * n) % size).astype(np.longdouble) \
+        * (8 * np.arctan(np.longdouble(1)) / size)
+    tail = (np.cos(angle) + 1j * np.sin(angle)) \
+        @ coeffs[1:].reshape(len(n), -1).astype(np.clongdouble)
+    tail = tail.reshape((len(nodes),) + coeffs.shape[1:])
+    return coeffs[0] + tail + np.conj(np.swapaxes(tail, -1, -2))
+
 
 def _schatten_norm(a, p):
     """(sum of singular values^p)^(1/p), one matrix at a time: the reference
@@ -61,10 +87,32 @@ def test_normalize_degenerate():
 
 
 def test_value_at_matches_samples():
+    # Horner at the nodes and the inverse FFT on the grid cross-check each other
     w = fixture("W_COS")
     grid = CircleGrid(64)
     direct = w.value_at(grid.nodes)
     assert np.abs(direct - w.samples_on(grid)).max() < 1e-12
+    w = _dominant_fourier_weight(np.random.default_rng(512), 512, 2)
+    grid = w.natural_grid()
+    scale = np.linalg.norm(w.coefficients, 2, axis=(1, 2)).sum()
+    # the points e^{i theta} are rounded, and order n feels that as about n
+    # ulp of phase, so the two routes agree to about d ulp
+    assert np.abs(w.value_at(grid.nodes) - w.samples_on(grid)).max() < 5e-14 * scale
+
+
+@needs_long_double
+@pytest.mark.parametrize("degree", [64, 512, 2048])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_realization_matches_long_double(degree, dim):
+    # every realization on a grid is one inverse FFT of the series; read on
+    # a strided subset of about 256 nodes (full long-double tables would take
+    # gigabytes at degree 2048)
+    w = _dominant_fourier_weight(np.random.default_rng(degree + dim), degree, dim)
+    grid = w.natural_grid()
+    nodes = np.arange(1, grid.size, grid.size // 256)
+    exact = _long_double_samples(w.coefficients, grid.size, nodes)
+    scale = np.linalg.norm(w.coefficients, 2, axis=(1, 2)).sum()
+    assert np.abs(w.samples_on(grid)[nodes] - exact).max() <= 4e-15 * scale
 
 
 def test_sampled_weight_resampling():
