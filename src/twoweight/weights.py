@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -444,25 +445,41 @@ def _number_rows(rows, dim: int) -> bool:
 
 def _matrix_from_entry(entry: dict, dim: int, what: str) -> np.ndarray:
     """The entry's real (and optional imag) rows as one complex block; every
-    element is checked, so a JSON string or true/false is refused."""
+    element is checked, so a JSON string, true/false or a value that JSON
+    reads as infinite (1e309) is refused."""
     real, imag = entry.get("real"), entry.get("imag")
     if _number_rows(real, dim) and (imag is None or _number_rows(imag, dim)):
         try:
+            real = np.asarray(real, dtype=float)
             imag = 0.0 if imag is None else np.asarray(imag, dtype=float)
-            return np.asarray(real, dtype=float) + 1j * imag
         except OverflowError:  # an integer beyond double range
             pass
+        else:
+            if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+                raise ValueError(f"{what} must be finite")
+            return real + 1j * imag
     raise ValueError(f"{what} must be a {dim}x{dim} real/imag matrix pair")
+
+
+def _numbers_only(blocks) -> bool:
+    """Every element of the matrices (lists of rows) is a JSON number: one
+    pass over the element types, since float() also reads a string or a
+    bool."""
+    return set(map(type, chain.from_iterable(chain.from_iterable(blocks)))) <= {int, float}
 
 
 def _sample_stack(data: list, dim: int) -> np.ndarray:
     """The (M, dim, dim) stack of the samples entries: one conversion each for
-    the real and imaginary parts when every entry is well formed, else the
-    entry-by-entry read that names the first malformed one."""
+    the real and imaginary parts when every entry is well formed and finite,
+    else the entry-by-entry read that names the first malformed one."""
     try:
-        real = np.asarray([entry["real"] for entry in data], dtype=float)
-        imag = np.asarray([entry["imag"] for entry in data], dtype=float)
-        if real.shape == imag.shape == (len(data), dim, dim):
+        reals = [entry["real"] for entry in data]
+        imags = [entry["imag"] for entry in data]
+        real = np.asarray(reals, dtype=float)
+        imag = np.asarray(imags, dtype=float)
+        if (real.shape == imag.shape == (len(data), dim, dim)
+                and _numbers_only(chain(reals, imags))
+                and np.isfinite(real).all() and np.isfinite(imag).all()):
             return real + 1j * imag
     except (KeyError, TypeError, ValueError, OverflowError):
         pass

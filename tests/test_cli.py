@@ -320,6 +320,9 @@ def test_scalar_samples_file(tmp_path):
 
 
 _ONE_ORDER = {"n": 0, "real": [[1.0]]}
+_INFINITE_SAMPLE = {"dim": 1, "kind": "samples",
+                    "data": [{"real": [[float("inf") if i == 3 else 1.0]], "imag": [[0.0]]}
+                             for i in range(64)]}
 MALFORMED = {
     "samples-object": ("scalar", "--samples", {"values": [1, 2, 3]}),
     "samples-of-objects": ("scalar", "--samples", [{"v": 1.0}] * 64),
@@ -387,6 +390,21 @@ MALFORMED = {
     "coeff-string": ("construct", "--weight-spec",
                      {"dim": 1, "kind": "fourier",
                       "data": [_ONE_ORDER, {"n": 1, "real": [["0.25"]]}]}),
+    # the one-conversion samples read takes these as 0.5, 0.0 and 1.0
+    "samples-string": ("construct", "--weight-spec",
+                       {"dim": 1, "kind": "samples",
+                        "data": [{"real": [["0.5"]], "imag": [[0.0]]}] * 64}),
+    "samples-bool-imag": ("construct", "--weight-spec",
+                          {"dim": 1, "kind": "samples",
+                           "data": [{"real": [[1.0]], "imag": [[False]]}] * 64}),
+    "samples-true": ("construct", "--weight-spec",
+                     {"dim": 1, "kind": "samples",
+                      "data": [{"real": [[True]], "imag": [[0]]}] * 64}),
+    # JSON reads 1e309 as inf (and json writes inf as Infinity, read back so)
+    "samples-infinite": ("construct", "--weight-spec", _INFINITE_SAMPLE),
+    "fourier-infinite": ("construct", "--weight-spec",
+                         {"dim": 1, "kind": "fourier",
+                          "data": [_ONE_ORDER, {"n": 1, "real": [[float("inf")]]}]}),
 }
 
 
@@ -403,6 +421,37 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert not out.exists()
+
+
+def test_verify_infinite_spec_exits_two_naming_the_sample(tmp_path):
+    spec = tmp_path / "infinite.json"
+    spec.write_text(json.dumps(_INFINITE_SAMPLE))
+    report = tmp_path / "report.txt"
+    done = subprocess.run([sys.executable, "-m", "twoweight.cli", "verify", "--weight-spec",
+                           str(spec), "-o", str(report)], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: sample 3 must be finite"], done.stderr
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--weight-spec", "SPEC", "-M", "8192"],
+    ["verify", "--weight-spec", "SPEC", "--random-weights", "7"],
+    ["scalar", "--samples", "SAMPLES", "-M", "512"],
+])
+def test_options_that_cannot_act_exit_two(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(3), 1), spec)
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps([1.0] * 64))
+    out = tmp_path / "never.txt"
+    paths = {"SPEC": str(spec), "SAMPLES": str(samples)}
+    rc = main([paths.get(arg, arg) for arg in argv] + ["-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "only" in err[0]
     assert not out.exists()
 
 

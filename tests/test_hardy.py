@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twoweight import debranges
+from twoweight import debranges, hardy
 from twoweight.circle import TWO_PI, CircleGrid
 from twoweight.debranges import DeBrangesSystem, build_system
 from twoweight.hardy import (OPERATORS, HardyOperators, RationalTestFunction,
@@ -415,3 +415,22 @@ def test_random_test_functions_match_per_function_reference():
                         assert f.coefficients.tobytes() == g.coefficients.tobytes()
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert random_test_functions(np.random.default_rng(0), 0, 2) == []
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_apply_matches_the_column_loop(dim):
+    """The batched product (k >= 2) agrees with the column-by-column sum to
+    roundoff, and the broadcast product at k = 1 exactly."""
+    rng = np.random.default_rng(dim)
+    shape = (128, dim)
+    field = rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
+    values = rng.standard_normal(shape + (100,)) + 1j * rng.standard_normal(shape + (100,))
+    loop = field[:, :, :1] * values[:, :1]
+    for c in range(1, dim):
+        loop = loop + field[:, :, c:c + 1] * values[:, c:c + 1]
+    out = hardy._apply(field, values)
+    if dim == 1:
+        assert np.array_equal(out, loop)
+    bound = 4 * np.finfo(float).eps * (np.linalg.norm(field, axis=(1, 2))
+                                      * np.linalg.norm(values, axis=(1, 2)))
+    assert np.all(np.abs(out - loop).max(axis=(1, 2)) <= bound)

@@ -209,6 +209,8 @@ def test_model_rows_stay_small_on_many_samples(monkeypatch):
         built.append(build(w0, size))
         return built[-1]
 
+    # the recorder and tracemalloc see this process only, so the rows must run here
+    cpus(monkeypatch, 1)
     monkeypatch.setattr(verify, "build_model", recording_build)
     tracemalloc.start()
     try:
@@ -267,26 +269,33 @@ def test_suite_traced_peak_stays_small(monkeypatch):
     assert peak <= 12e6, peak
 
 
-def test_pool_and_in_process_reports_are_byte_identical(monkeypatch, tmp_path):
-    config = SuiteConfig(seed=502245490, fixtures=("W_DIAG",), random_weights=0,
-                         grid_size=512)
+def _reports_and_pids_by_cpu_count(monkeypatch, tmp_path, run):
+    """run().to_text() with one CPU and with two, and the pids its rows ran in."""
     pids = tmp_path / "pids"
 
     def row(fn):
-        def run(*args):
+        def record(*args):
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             return fn(*args)
-        return run
+        return record
 
     monkeypatch.setattr(verify, "CHECKS", tuple((name, tol, scope, row(fn))
                                                 for name, tol, scope, fn in CHECKS))
     texts, ran_in = {}, {}
     for count in (1, 2):
         cpus(monkeypatch, count)
-        texts[count] = run_suite(config).to_text()
+        texts[count] = run().to_text()
         ran_in[count] = set(pids.read_text().split())
         pids.unlink()
+    return texts, ran_in
+
+
+def test_pool_and_in_process_reports_are_byte_identical(monkeypatch, tmp_path):
+    config = SuiteConfig(seed=502245490, fixtures=("W_DIAG",), random_weights=0,
+                         grid_size=512)
+    texts, ran_in = _reports_and_pids_by_cpu_count(monkeypatch, tmp_path,
+                                                   lambda: run_suite(config))
     assert texts[1] == texts[2]
     assert ran_in[1] == {str(os.getpid())}
     assert ran_in[2] and str(os.getpid()) not in ran_in[2]
@@ -306,6 +315,81 @@ def test_no_worker_outlives_the_suite(monkeypatch):
         for name, tol, scope, fn in CHECKS))
     with pytest.raises(RuntimeError, match="row broke"):
         run_suite(FAST)
+    assert multiprocessing.active_children() == []
+
+
+K3 = random_polynomial_weight(np.random.default_rng(3), 3)
+
+
+def _contraction_requests(monkeypatch, run):
+    """The rows, by report name, that asked the suite cache for operators on
+    CONTRACTION_GRID while run() ran them in this process."""
+    running, requested = [], set()
+    ops = verify._SuiteContext.ops
+
+    def recording_ops(self, label, size):
+        if size == verify.CONTRACTION_GRID:
+            requested.add(running[-1])
+        return ops(self, label, size)
+
+    def row(name, scope, fn):
+        def run_row(*args):
+            running.append(f"{name}[{args[0]}]" if scope in (EVERY, FIXTURE, X_GRAM) else name)
+            return fn(*args)
+        return run_row
+
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(verify._SuiteContext, "ops", recording_ops)
+    monkeypatch.setattr(verify, "CHECKS", tuple((name, tol, scope, row(name, scope, fn))
+                                                for name, tol, scope, fn in CHECKS))
+    report = run()
+    assert len(running) == len(report.entries)
+    return requested
+
+
+def _group_names(groups):
+    return [{name for name, _, _ in group} for group in groups]
+
+
+def test_contraction_grid_rows_are_each_subjects_first_group(monkeypatch):
+    config = SuiteConfig()
+    requested = _contraction_requests(monkeypatch, lambda: run_suite(config))
+    groups = _group_names(enumerate_checks(config))
+    # each fixture's two groups, then the random weights' and the suite's
+    assert [bool(names & requested) for names in groups] == \
+        [True, False] * len(config.fixtures) + [False, False]
+    assert set().union(*groups[0:-2:2]) == requested
+
+
+def test_contraction_grid_rows_form_the_weights_first_group(monkeypatch):
+    requested = _contraction_requests(monkeypatch, lambda: run_weight_checks(K3))
+    config = SuiteConfig(random_weights=0)
+    first, rest = _group_names(verify._groups(config, ("WEIGHT", K3)))
+    assert first == requested
+    assert "hardy.contraction[WEIGHT]" in first and not rest & requested
+
+
+def test_weight_checks_pool_and_in_process_reports_are_byte_identical(monkeypatch, tmp_path):
+    texts, ran_in = _reports_and_pids_by_cpu_count(
+        monkeypatch, tmp_path, lambda: run_weight_checks(K3, seed=502245490))
+    assert texts[1] == texts[2]
+    assert ran_in[1] == {str(os.getpid())}
+    assert ran_in[2] and str(os.getpid()) not in ran_in[2]
+
+
+def test_no_worker_outlives_the_weight_checks(monkeypatch):
+    cpus(monkeypatch, 2)
+    weight = random_polynomial_weight(np.random.default_rng(11), 1)
+
+    def broken(label, ctx, rng):
+        raise RuntimeError("row broke")
+
+    # an error that is not a row's ValueError entry reaches the caller
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (name, tol, scope, broken if name == "hardy.contraction" else fn)
+        for name, tol, scope, fn in CHECKS))
+    with pytest.raises(RuntimeError, match="row broke"):
+        run_weight_checks(weight)
     assert multiprocessing.active_children() == []
 
 
