@@ -9,6 +9,8 @@ from typing import Optional
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# the largest grid the command line and the suite accept
+MAX_GRID = 65536
 
 
 def next_power_of_two(n: int) -> int:
@@ -16,10 +18,16 @@ def next_power_of_two(n: int) -> int:
     return 1 << max(0, int(n - 1)).bit_length()
 
 
+def degree_grid(degree: int, floor: int) -> int:
+    """The grid that holds a weight of degree d: the smallest power of two
+    >= 2(d + 1), raised to `floor`."""
+    return max(floor, next_power_of_two(2 * (degree + 1)))
+
+
 def check_grid_size(size: int) -> int:
-    """The command-line and suite grid range: a power of two in [64, 65536]."""
-    if size < 64 or size > 65536 or size != next_power_of_two(size):
-        raise ValueError(f"grid size must be a power of two in [64, 65536], got {size}")
+    """The command-line and suite grid range: a power of two in [64, MAX_GRID]."""
+    if size < 64 or size > MAX_GRID or size != next_power_of_two(size):
+        raise ValueError(f"grid size must be a power of two in [64, {MAX_GRID}], got {size}")
     return size
 
 
@@ -123,7 +131,8 @@ def synthesize_series(coeffs: np.ndarray, grid: CircleGrid) -> np.ndarray:
     m = grid.size
     d = coeffs.shape[0] - 1
     if d >= m:
-        raise ValueError("grid too coarse for the series degree")
+        raise ValueError(f"grid of {m} nodes is too coarse for degree {d}: "
+                         f"needs {next_power_of_two(d + 1)}")
     return np.fft.ifft(coeffs, n=m, axis=0, norm="forward")
 
 

@@ -125,6 +125,9 @@ class DeBrangesSystem:
     def companion_weight(self, grid: CircleGrid) -> CompanionWeightResult:
         """w1 = (1/2i)(psi1+ - psi1+*) at each node from one batched inverse
         of D0+; the flag rule is in CompanionWeightResult."""
+        # w1 is read beside w0 on this grid, so a grid too coarse for w0 is
+        # refused first, naming the grid that holds both
+        self.weight.check_grid(grid)
         d0, conds, d0_norm = self.boundary_profile(grid)
         flags = conds * (TWO_PI / grid.size) > RESOLVE
         # flagged blocks may be exactly singular; I keeps the batch invertible

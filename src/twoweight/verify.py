@@ -18,14 +18,14 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import DEFAULT_SEED
-from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean,
-                     fourier_coefficients, next_power_of_two, poisson_kernel)
+from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean, degree_grid,
+                     fourier_coefficients, poisson_kernel)
 from .debranges import (DeBrangesSystem, NondegeneracyReport, build_system,
                         nondegeneracy_report)
 from .hardy import HardyOperators, RationalTestFunction, random_test_functions
 from .herglotz import pair_kernel_quadrature, psi_quadrature, radial_limit
 from .koosis import KoosisResult, _check_seed, koosis_pipeline
-from .model import (BUILD_CAP, build_model, cross_validate, intertwine_residual,
+from .model import (build_model, cross_validate, intertwine_residual,
                     model_identity_residual, spectral_nu1, unitarity_residual)
 from .weights import (FIXTURE_NAMES, MatrixWeight, _mean_norm, fixture,
                       koosis_transform, load_weight_spec, muckenhoupt_sup,
@@ -180,12 +180,6 @@ _CLOSED_FORM_W1 = {
 _DEFICITS = {"W_CONST": 0.0, "W_COS": 0.5, "W_DIAG": 0.0, "W_RANK1": 0.5}
 
 
-def _degree_grid(degree: int, floor: int, cap: int) -> int:
-    """The smallest power of two >= 2(d + 1), the grid that holds a series of
-    degree d, cut to `cap` and then raised to `floor`."""
-    return max(floor, min(cap, next_power_of_two(2 * (degree + 1))))
-
-
 class _SuiteContext:
     """Caches weights, systems, operators, models, their spectra and reports
     across the rows of one subject; the suite drops it after the subject's
@@ -215,7 +209,13 @@ class _SuiteContext:
             self._systems[fx] = build_system(self.weight(fx))
         return self._systems[fx]
 
-    def ops(self, fx: str, size: int) -> HardyOperators:
+    def grid(self, fx: str, floor: int) -> CircleGrid:
+        """The degree grid of weight fx raised to floor (circle.degree_grid)."""
+        return CircleGrid(degree_grid(self.weight(fx).degree, floor))
+
+    def ops(self, fx: str, floor: int) -> HardyOperators:
+        """The operators of weight fx on self.grid(fx, floor)."""
+        size = self.grid(fx, floor).size
         key = (fx, size)
         if key not in self._ops:
             self._ops[key] = HardyOperators.build(self.system(fx), size=size)
@@ -235,9 +235,9 @@ class _SuiteContext:
         return self._spectra[key]
 
     def model_sizes(self, fx: str) -> Tuple[int, int]:
-        """The model rows' two truncation sizes N and 2N: N is the degree
-        grid of the weight, at least 64; build_model refuses 2N k > BUILD_CAP."""
-        base = _degree_grid(self.weight(fx).degree, 64, BUILD_CAP)
+        """The model rows' two truncation sizes N and 2N: N is the weight's
+        degree grid raised to 64; build_model refuses 2N k > BUILD_CAP."""
+        base = degree_grid(self.weight(fx).degree, 64)
         return base, 2 * base
 
     def nondegeneracy(self, label: str) -> NondegeneracyReport:
@@ -384,7 +384,7 @@ def _check_herglotz_jump(fx, ctx, rng):
 
 def _check_series_vs_quadrature(fx, ctx, rng):
     system = ctx.system(fx)
-    fld = system.weight.field_on(CircleGrid(2048))
+    fld = system.weight.field_on(ctx.grid(fx, 2048))
     worst = 0.0
     for _ in range(3):
         z = _draw_z(rng)
@@ -396,7 +396,7 @@ def _check_series_vs_quadrature(fx, ctx, rng):
 def _check_pair_kernel(fx, ctx, rng):
     system = ctx.system(fx)
     ev = system.psi0
-    fld = system.weight.field_on(CircleGrid(2048))
+    fld = system.weight.field_on(ctx.grid(fx, 2048))
     worst = 0.0
     for z1, z2 in _draw_pairs(rng, 5):
         quad = pair_kernel_quadrature(z1, z2, fld)
@@ -695,7 +695,7 @@ def _check_x_gram_onesided(fx, ctx, rng):
     basis = random_test_functions(rng, 8, ops.system.dim)
     diff = ops.x_gram_residual(basis)
     lam_min = float(np.linalg.eigvalsh(diff).min())
-    sup = ops.x_sup(basis, CircleGrid(4 * CONTRACTION_GRID))
+    sup = ops.x_sup(basis, CircleGrid(4 * ops.grid.size))
     worst_diag = float((diff.diagonal().real - ops.companion.deficit * sup).max())
     return max(max(0.0, -lam_min), max(0.0, worst_diag))
 
@@ -867,8 +867,8 @@ def _weight_checks(label: str, config: SuiteConfig) -> list:
             or (scope == X_GRAM and base == _x_gram_variant(label))]
 
 
-# the rows that read the operators on CONTRACTION_GRID, the costliest build
-# of a subject; they form a group of their own (see _split)
+# the rows that read the operators on the CONTRACTION_GRID floor, the
+# costliest build of a subject; they form a group of their own (see _split)
 _CONTRACTION_ROWS = frozenset({
     "debranges.trace_budget", "hardy.contraction", "hardy.x_gram",
     "hardy.x_gram_preservation", "hardy.x_gram_onesided",
@@ -878,7 +878,7 @@ _CONTRACTION_ROWS = frozenset({
 
 def _split(rows: list) -> list:
     """A subject's rows as two groups, the non-empty ones of: the rows that
-    read the operators on CONTRACTION_GRID, and the rest.  No row of the
+    read the operators on the CONTRACTION_GRID floor, and the rest.  No row of the
     second group builds those operators, so the groups can run apart at the
     cost of one more build_system (and on W_COS one more 1024-node operator
     build, which projection_quadrature_rate shares with the rest)."""
@@ -991,15 +991,14 @@ def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
     measured deficit, against a user-supplied weight.
 
     The weight is normalized first; the fixture rows (closed form, deficit)
-    are skipped because there is nothing to compare against.  The grid is
-    the suite default (256) unless the weight's degree d needs more: the
-    smallest power of two >= 2(d + 1), at most 8192.  The rows form two
+    are skipped because there is nothing to compare against.  Each row
+    runs on its own floor grid (the suite default of 256 nodes, or 512, 1024,
+    2048 or 4096) raised to the weight's degree grid, the smallest power of
+    two >= 2(d + 1) (circle.degree_grid), with no cap.  The rows form two
     groups (see _split) that run as _run_groups says, the normalized weight
     travelling with each group.
     """
     if label in FIXTURE_NAMES:
         raise ValueError("label collides with a fixture name")
-    grid_size = _degree_grid(weight.degree, 256, 8192)
-    config = SuiteConfig(seed=seed, random_weights=0, grid_size=grid_size,
-                         tolerances=dict(tolerances or {}))
+    config = SuiteConfig(seed=seed, random_weights=0, tolerances=dict(tolerances or {}))
     return _run_groups(config, (label, normalize(weight)))

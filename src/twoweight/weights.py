@@ -15,15 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import (CircleGrid, MatrixSampleField, circle_mean, evaluate_series,
-                     next_power_of_two, synthesize_series)
+from .circle import (MAX_GRID, CircleGrid, MatrixSampleField, circle_mean, degree_grid,
+                     evaluate_series, synthesize_series)
 
 HERMITIAN_TOL = 1e-10
 PSD_CLAMP = 1e-10
 VANISH_TOL = 1e-14
 TRIM_TOL = 1e-14
-# a series of degree d needs a grid of 2(d + 1) nodes; the largest grid has 65536
-MAX_ORDER = 65536 // 2 - 1
+# a series of degree d needs a grid of 2(d + 1) nodes (circle.degree_grid)
+MAX_ORDER = MAX_GRID // 2 - 1
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -192,12 +192,11 @@ class MatrixWeight:
         return self.coefficients.shape[0] - 1
 
     def natural_grid(self) -> CircleGrid:
-        """Default realization grid: M >= max(64, 8(d+1)) keeps aliasing
-        below the test tolerances."""
+        """Default realization grid: four times the degree grid, at least 64
+        nodes, keeps aliasing below the test tolerances."""
         if self.kind == "samples":
             return self.grid
-        wanted = max(64, 8 * (self.degree + 1))
-        return CircleGrid(next_power_of_two(wanted))
+        return CircleGrid(4 * degree_grid(self.degree, 16))
 
     def samples_on(self, grid: CircleGrid) -> np.ndarray:
         """Realize the weight as (M, k, k) PSD samples on the given grid.
@@ -214,14 +213,23 @@ class MatrixWeight:
         values, lam = self._psd_samples(grid)
         return MatrixSampleField(grid, values, eigenvalues=lam)
 
+    def check_grid(self, grid: CircleGrid) -> None:
+        """Refuse a grid that samples_on cannot realize the weight on, naming
+        the degree grid (circle.degree_grid) that holds it."""
+        if self.kind == "samples" and grid.size <= self.grid.size:
+            return
+        needed = degree_grid(self.degree, 16)
+        if grid.size < needed:
+            raise ValueError(f"grid of {grid.size} nodes is too coarse for degree "
+                             f"{self.degree}: needs {needed}")
+
     def _psd_samples(self, grid: CircleGrid):
         """(samples, eigenvalues) on the grid, validated by _clean_psd_samples
         or read from the stored samples."""
         if self.kind == "samples" and grid.size <= self.grid.size:
             step = self.grid.size // grid.size
             return self.values[::step].copy(), self.eigenvalues[::step].copy()
-        if grid.size < 2 * (self.degree + 1):
-            raise ValueError("grid too coarse for the weight degree")
+        self.check_grid(grid)
         return _clean_psd_samples(self._realize(synthesize_series, grid))
 
     def value_at(self, theta) -> np.ndarray:
@@ -253,8 +261,18 @@ def _mean_norm(w: MatrixWeight) -> float:
     samples = w.samples_on(w.natural_grid())
     if w.dim == 1:
         return float(np.abs(samples[:, 0, 0]).mean())
+    # singular values, largest first
     s = np.linalg.svd(samples, compute_uv=False)
-    norms = (s ** w.schatten_p).sum(axis=1) ** (1.0 / w.schatten_p)
+    p = w.schatten_p
+    if p <= 2:
+        # s^p stays finite for every sample below 1e154
+        norms = (s ** p).sum(axis=1) ** (1.0 / p)
+    else:
+        # the largest singular value taken out first, so that s^p neither
+        # overflows nor underflows to zero; at p = inf the sum reads 1
+        top = s[:, 0]
+        ratio = s / np.where(top > 0.0, top, 1.0)[:, None]
+        norms = top * (ratio ** p).sum(axis=1) ** (1.0 / p)
     return float(norms.mean())
 
 
@@ -519,7 +537,7 @@ def load_weight_spec(path) -> MatrixWeight:
                 raise ValueError("Fourier entries carry n >= 0 only")
             if order > MAX_ORDER:
                 raise ValueError(f"Fourier order n={order} is above {MAX_ORDER}, "
-                                 "the largest order a 65536-node grid resolves")
+                                 f"the largest order a {MAX_GRID}-node grid resolves")
             orders.append(order)
             blocks.append(_matrix_from_entry(entry, dim, f"coefficient n={order}"))
         coeffs = np.zeros((max(orders) + 1, dim, dim), dtype=complex)

@@ -437,6 +437,29 @@ def test_verify_infinite_spec_exits_two_naming_the_sample(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["construct", "-M", "1024"],
+    ["construct", "-M", "2048"],
+    ["model-check", "--modes", "1024"],
+])
+def test_too_coarse_grid_names_the_grid_it_needs(tmp_path, argv):
+    # degree 1024 needs 2(d + 1) = 2050 nodes, so 4096; construct checks w0's
+    # grid before the Herglotz series, which alone would pass on 2048
+    c = np.random.default_rng(1024).standard_normal(1025) + 0j
+    c *= 0.4 / np.abs(c[1:]).sum()
+    c[0] = 1.0
+    spec = tmp_path / "degree1024.json"
+    save_weight_spec(MatrixWeight.from_fourier(c), spec)
+    out = tmp_path / "out.csv"
+    done = subprocess.run([sys.executable, "-m", "twoweight.cli", argv[0], "--weight-spec",
+                           str(spec), *argv[1:], "-o", str(out)], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"error: grid of {argv[-1]} nodes is too coarse for degree 1024: needs 4096"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--weight-spec", "SPEC", "-M", "8192"],
     ["verify", "--weight-spec", "SPEC", "--random-weights", "7"],
     ["scalar", "--samples", "SAMPLES", "-M", "512"],
@@ -715,6 +738,21 @@ def test_scalar_bytes_match_per_value_render(tmp_path, capfd):
         rows.append(f"{_fmt(theta)},{_fmt(result.v0[idx])},"
                     f"{_fmt(result.v1[idx])},{int(result.flags[idx])}")
     assert _body(out) == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("schatten_p", ["1e6", "1e309"])
+def test_construct_at_huge_and_infinite_schatten_index(tmp_path, capfd, schatten_p):
+    # JSON reads 1e309 as inf; s^p of the mean norm used to overflow at 1e6
+    # (the weight scaled to zero) and read 1 at inf (normalization violated)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"dim": 2, "kind": "fourier", "schatten_p": %s, "data": ['
+                    '{"n": 0, "real": [[3.0, 0.0], [0.0, 0.5]]}, '
+                    '{"n": 1, "real": [[0.5, 0.0], [0.0, 0.1]]}]}' % schatten_p)
+    out = tmp_path / "table.csv"
+    assert _quiet_main(["construct", "--weight-spec", str(spec), "-M", "64",
+                        "-o", str(out)], capfd) == 0
+    table = _table(out)
+    assert max(np.abs(table[f"w1_{i}{i}_re"]).max() for i in range(2)) > 0.1
 
 
 def _old_model_body(weight, sizes):

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from twoweight import verify
-from twoweight.circle import CircleGrid, poisson_kernel
+from twoweight.circle import CircleGrid, next_power_of_two, poisson_kernel
 from twoweight.debranges import build_system
 from twoweight.hardy import HardyOperators
 from twoweight.herglotz import neville_extrapolate, radial_limit
+from twoweight.model import BUILD_CAP
 from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, X_GRAM, CheckResult,
                               Report, SuiteConfig, _imag_part, enumerate_checks,
                               koosis_pipeline, nondegeneracy_report, parse_report,
                               run_suite, run_weight_checks)
-from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
+from twoweight.weights import (FIXTURE_NAMES, MAX_ORDER, MatrixWeight, fixture,
                                random_polynomial_weight)
 
 FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
@@ -162,6 +163,26 @@ def test_run_weight_checks_sizes_the_grid_from_the_degree():
     report = run_weight_checks(weight, seed=7)
     assert "debranges.companion_psd[WEIGHT]" in report.names()
     assert [e.name for e in report.entries if e.status == "error"] == []
+    # k = 1 Fourier weights 1 + sum c_n cos(n theta) with sum |c_n| = 0.4: the
+    # rows on fixed 512..4096-node grids, and every row once the degree grid
+    # passed the old 8192-node cap (d = 4096), used to be "too coarse" errors
+    for degree in (1024, 4096):
+        c = np.random.default_rng(degree).standard_normal(degree + 1) + 0j
+        c *= 0.4 / np.abs(c[1:]).sum()
+        c[0] = 1.0
+        report = run_weight_checks(MatrixWeight.from_fourier(c))
+        assert [e.message for e in report.entries if "too coarse" in e.message] == []
+        assert [e.name for e in report.entries if e.status == "error"] == [], degree
+
+
+def test_model_sizes_follow_the_degree_grid():
+    # the old rule: the degree grid cut to BUILD_CAP, raised to 64; no spec
+    # order reaches the cap, so dropping it moves no size
+    ctx = verify._SuiteContext(SuiteConfig())
+    for degree in range(MAX_ORDER + 1):
+        ctx.register("D", SimpleNamespace(degree=degree))
+        old = max(64, min(BUILD_CAP, next_power_of_two(2 * (degree + 1))))
+        assert ctx.model_sizes("D") == (old, 2 * old), degree
 
 
 def test_model_rows_size_from_the_degree():

@@ -1,11 +1,13 @@
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from twoweight.circle import CircleGrid
-from twoweight.weights import (FIXTURE_NAMES, MatrixWeight, fixture,
-                               koosis_transform, load_weight_spec,
+from twoweight.circle import CircleGrid, next_power_of_two
+from twoweight.weights import (FIXTURE_NAMES, MAX_ORDER, MatrixWeight, _mean_norm,
+                               fixture, koosis_transform, load_weight_spec,
                                muckenhoupt_sup, normalize,
                                random_polynomial_weight, save_weight_spec,
                                weight_spec_document)
@@ -212,6 +214,38 @@ def test_random_polynomial_weight_degree():
         assert np.abs(w.fourier[-1]).max() > 0.0
     # the suite's half_degree = 2 weights keep their 64-node natural grid
     assert random_polynomial_weight(RNG, 3).natural_grid().size == 64
+
+
+def test_natural_grid_keeps_the_old_rule_at_every_order():
+    # four times the degree grid is the old max(64, 8(d + 1)), rounded up to a
+    # power of two, for every order a spec may carry
+    for degree in range(MAX_ORDER + 1):
+        grid = MatrixWeight.natural_grid(SimpleNamespace(kind="fourier", degree=degree))
+        assert grid.size == next_power_of_two(max(64, 8 * (degree + 1))), degree
+
+
+# W(0) = diag(3, 0.5), W(1) = diag(0.5, 0.1): the largest singular value at
+# theta is 3 + cos(theta), so the Schatten-infinity mean norm is 3
+_TWO_SCALE = [[[3.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.1]]]
+
+
+def test_mean_norm_at_huge_and_infinite_schatten_index():
+    for p in (1e6, np.inf):
+        w = MatrixWeight.from_fourier(np.array(_TWO_SCALE, dtype=complex), schatten_p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(_mean_norm(w) - 3.0) < 1e-12, p
+
+
+def test_mean_norm_keeps_its_bits_at_p_one_and_two():
+    # the direct sum of s^p, bit for bit: normalize (and every construct
+    # table) at p = 1 and 2 does not move
+    rng = np.random.default_rng(8)
+    for p in (1.0, 2.0):
+        for dim in (2, 4):
+            w = random_polynomial_weight(rng, dim, schatten_p=p).scaled(rng.uniform(0.5, 2.0))
+            s = np.linalg.svd(w.samples_on(w.natural_grid()), compute_uv=False)
+            assert _mean_norm(w) == float(((s ** p).sum(axis=1) ** (1.0 / p)).mean())
 
 
 def test_carried_spectra_are_the_eigenvalues_of_the_samples():
