@@ -17,8 +17,7 @@ DEFAULT_SEED = 1729
 
 # public name -> the module that defines it
 _HOMES = {
-    "CircleGrid": "circle", "FourierSeries": "circle", "MatrixSampleField": "circle",
-    "circle_mean": "circle", "fourier_coefficients": "circle",
+    "CircleGrid": "circle", "MatrixSampleField": "circle", "circle_mean": "circle",
     "MatrixWeight": "weights", "FIXTURE_NAMES": "weights", "fixture": "weights",
     "normalize": "weights", "koosis_transform": "weights", "muckenhoupt_sup": "weights",
     "random_polynomial_weight": "weights", "load_weight_spec": "weights",

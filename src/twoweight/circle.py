@@ -107,22 +107,6 @@ def poisson_kernel(r: float, theta):
     return out
 
 
-@dataclass(frozen=True)
-class FourierSeries:
-    """Matrix Fourier coefficients indexed by order n = -M/2 .. M/2 - 1."""
-
-    orders: np.ndarray
-    coeffs: np.ndarray
-
-    def synthesize(self, grid: CircleGrid) -> MatrixSampleField:
-        """Inverse transform back onto a grid of the same size."""
-        if grid.size != self.coeffs.shape[0]:
-            raise ValueError("synthesis grid must match the transform size")
-        # order n < 0 aliases to n + M on the grid
-        spectrum = np.fft.ifftshift(self.coeffs, axes=0)
-        return MatrixSampleField(grid, synthesize_series(spectrum, grid))
-
-
 def synthesize_series(coeffs: np.ndarray, grid: CircleGrid) -> np.ndarray:
     """sum_{n=0}^{d} c_n e^{i n theta_m} on every node by one inverse FFT.
 
@@ -145,14 +129,6 @@ def evaluate_series(coeffs: np.ndarray, z) -> np.ndarray:
         acc *= z
         acc += c
     return acc
-
-
-def fourier_coefficients(field: MatrixSampleField) -> FourierSeries:
-    """W_hat(n) = (1/M) sum_m field(theta_m) e^{-i n theta_m}, n = -M/2 .. M/2-1."""
-    m = field.grid.size
-    coeffs = np.fft.fftshift(np.fft.fft(field.values, axis=0), axes=0) / m
-    orders = np.arange(-(m // 2), m // 2)
-    return FourierSeries(orders=orders, coeffs=coeffs)
 
 
 def circle_mean(field: MatrixSampleField) -> np.ndarray:

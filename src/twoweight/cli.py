@@ -272,10 +272,7 @@ def _cmd_verify(args) -> int:
         if args.grid_size is not None or args.random_weights is not None:
             raise ValueError("--grid-size and --random-weights apply to --fixtures only: "
                              "--weight-spec sizes its grid from the weight's degree")
-        with open(args.weight_spec, "rb") as fh:
-            blob = fh.read()
-        weight = load_weight_spec(args.weight_spec)
-        source, digest = args.weight_spec, hashlib.sha256(blob).hexdigest()
+        weight, source, digest = _load_weight(args)
         report = run_weight_checks(weight, seed=args.seed, tolerances=tolerances)
         params = {"seed": args.seed, "mode": "weight-spec"}
     else:

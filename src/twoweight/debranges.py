@@ -11,7 +11,8 @@ import numpy as np
 
 from .circle import TWO_PI, CircleGrid
 from .herglotz import HerglotzEvaluator
-from .weights import PSD_CLAMP, MatrixWeight, hermitian_part, moment_zero, psd_rebuild
+from .weights import (PSD_CLAMP, MatrixWeight, hermitian_part, imag_part, moment_zero,
+                      psd_rebuild)
 
 COND_CUTOFF = 1e8
 SNAP_ONE = 1e-12
@@ -19,10 +20,8 @@ SNAP_ONE = 1e-12
 # circle, and the a.c. spike there has width ~delta: the grid resolves it
 # only while cond(D0+) * 2pi/M stays O(1).  Next to an exact atom it reads ~1.
 RESOLVE = 4.0
-# the non-degeneracy report: rank cut-off, and the cond(D0+) beyond which a
-# node is left out of its comparisons
+# the non-degeneracy report's rank cut-off
 RANK_THRESHOLD = 1e-8
-COND_LIMIT = 1e6
 
 
 # LAPACK's gesdd rescales a matrix whose largest entry lies outside
@@ -133,9 +132,8 @@ class DeBrangesSystem:
         # flagged blocks may be exactly singular; I keeps the batch invertible
         safe = np.where(flags[:, None, None], np.eye(self.dim), d0)
         psi1 = self.alpha - np.linalg.inv(safe)
-        imag = (psi1 - np.conj(np.swapaxes(psi1, -1, -2))) / 2j
         # w1 is Im psi1+ itself; its spectrum flags the nodes and validates w1
-        value = hermitian_part(imag)
+        value = hermitian_part(imag_part(psi1))
         lam = np.linalg.eigvalsh(value)
         flags = flags | (lam.min(axis=-1) < -PSD_CLAMP)
         value[flags] = 0.0
@@ -170,7 +168,7 @@ def build_system(w0: MatrixWeight) -> DeBrangesSystem:
     return DeBrangesSystem(
         gg_star=gg,
         alpha=alpha,
-        psi0=HerglotzEvaluator.from_weight(w0),
+        psi0=HerglotzEvaluator(w0.coefficients),
         weight=w0,
     )
 
@@ -187,8 +185,8 @@ def _psd_rank_and_norm(lam: np.ndarray):
 @dataclass(frozen=True)
 class NondegeneracyReport:
     """Per-node ranks of w0 and w1 and the norm lower bound
-    ||w1|| >= ||w0||/||D0+||^2, compared on the usable nodes: unflagged, with
-    cond(D0+) <= COND_LIMIT."""
+    ||w1|| >= ||w0||/||D0+||^2, compared on the usable nodes: the unflagged
+    ones, where cond(D0+) <= RESOLVE M/2pi (41722 at M = MAX_GRID)."""
 
     usable: np.ndarray
     rank_w0: np.ndarray
@@ -221,7 +219,7 @@ def nondegeneracy_report(system: DeBrangesSystem,
     bound = np.divide(w0_norm, d0_norm ** 2,
                       out=np.full_like(w0_norm, np.inf), where=d0_norm > 0)
     return NondegeneracyReport(
-        usable=result.unflagged & (result.cond_profile <= COND_LIMIT),
+        usable=result.unflagged,
         rank_w0=rank_w0,
         rank_w1=rank_w1,
         norm_w1=w1_norm,

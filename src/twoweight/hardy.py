@@ -13,6 +13,7 @@ import numpy as np
 from .circle import CircleGrid, MatrixSampleField, TWO_PI
 from .debranges import DeBrangesSystem
 from .herglotz import pair_kernel_quadrature
+from .weights import adjoint, hermitian_part
 
 DELTA_POLE = 1e-3
 # the quadrature routes sample w0 f on an OVERSAMPLE-times finer grid and
@@ -184,8 +185,7 @@ def gram_norm_estimate(gram1: np.ndarray, gram0: np.ndarray) -> float:
     if not np.any(keep):
         raise ValueError("Gram matrix numerically zero")
     basis_w = vec[:, keep] / np.sqrt(lam[keep])
-    compressed = basis_w.conj().T @ gram1 @ basis_w
-    compressed = 0.5 * (compressed + compressed.conj().T)
+    compressed = hermitian_part(basis_w.conj().T @ gram1 @ basis_w)
     return float(np.linalg.eigvalsh(compressed).max())
 
 
@@ -200,13 +200,9 @@ class HardyOperators:
         self.w0_samples = system.weight.samples_on(grid)
         self.w1_samples = self.companion.w1.values
         self.d0_inner = self.companion.d0_plus
-        self.d0_outer = np.conj(np.swapaxes(self.d0_inner, -1, -2))
+        self.d0_outer = adjoint(self.d0_inner)
         self.unflagged = self.companion.unflagged
         self._dampings = {}
-
-    @classmethod
-    def build(cls, system: DeBrangesSystem, size: int) -> "HardyOperators":
-        return cls(system, CircleGrid(size))
 
     # -- pointwise operators --------------------------------------------
 
@@ -303,16 +299,18 @@ class HardyOperators:
         gv = _apply(fine.values, self._fields(f, fine.grid, rotate=False)[0])[..., 0]
         spectrum = np.fft.fft(gv, axis=0, norm="forward") * self._dampings[route][:, None]
         folded = spectrum.reshape(OVERSAMPLE, self.grid.size, -1).sum(axis=0)
-        return np.fft.ifft(folded, axis=0, norm="forward")
+        return np.where(self.unflagged[:, None], np.fft.ifft(folded, axis=0, norm="forward"), 0.0)
 
     def project_quadrature(self, f: RationalTestFunction, side: str = "+") -> np.ndarray:
         """Direct quadrature of the defining limit at r = 1 -+ eps, spectral on
-        the oversampled grid, Richardson-combined over eps, 2 eps, 4 eps, 8 eps."""
+        the oversampled grid, Richardson-combined over eps, 2 eps, 4 eps, 8 eps;
+        flagged rows zeroed."""
         return self._quadrature(f, side)
 
     def hilbert_quadrature(self, f: RationalTestFunction) -> np.ndarray:
         """Convolution against the kernel 2 sin(theta-t)/(1+r^2-2r cos(theta-t))
-        at r = 1 - eps on the oversampled grid, Richardson-combined like P+."""
+        at r = 1 - eps on the oversampled grid, Richardson-combined like P+;
+        flagged rows zeroed."""
         return self._quadrature(f, "H")
 
     # -- bilinear identities ---------------------------------------------
@@ -335,8 +333,8 @@ class HardyOperators:
         points = np.stack([z1, z2])
         d = self.system.d0(points)
         (d1, d2), (p1, p2) = d, self.system.alpha - np.linalg.inv(d)
-        core = (p1 - np.conj(np.swapaxes(p2, -1, -2))) / (2j * denom[..., None, None])
-        rhs = np.conj(np.swapaxes(d2, -1, -2)) @ core @ d1
+        core = (p1 - adjoint(p2)) / (2j * denom[..., None, None])
+        rhs = adjoint(d2) @ core @ d1
         residual = np.linalg.norm(pair_kernel_quadrature(z1, z2, self._pair_field) - rhs, 2,
                                   axis=(-2, -1))
         return float(residual) if residual.ndim == 0 else residual
@@ -377,7 +375,7 @@ class HardyOperators:
             for i, (v, w) in enumerate(((f, w0), (image, self.w1_samples))):
                 grams[i] = grams[i] + np.tensordot(v.conj(), _apply(w[block], v), ([0, 1], [0, 1]))
         pick = np.ix_(corpus.inverse, corpus.inverse)
-        gram0, gram1 = (0.5 * (g[pick] + g[pick].conj().T) / self.grid.size for g in grams)
+        gram0, gram1 = (hermitian_part(g[pick]) / self.grid.size for g in grams)
         return GramData(tuple(basis), gram0, gram1)
 
     def norm_estimate(self, op: str, basis: Sequence[RationalTestFunction]) -> float:

@@ -9,13 +9,9 @@ from typing import Callable
 import numpy as np
 
 from .circle import CircleGrid, MatrixSampleField, evaluate_series, synthesize_series
-from .weights import MatrixWeight
+from .weights import HERMITIAN_TOL, adjoint
 
 DELTA_MIN = 1e-8
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def neville_extrapolate(vals: np.ndarray) -> np.ndarray:
@@ -60,16 +56,12 @@ class HerglotzEvaluator:
         if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
             raise ValueError("coefficients must have shape (N+1, k, k)")
         zero = coeffs[0]
-        if np.abs(zero - zero.conj().T).max() > 1e-10:
+        if np.abs(zero - adjoint(zero)).max() > HERMITIAN_TOL:
             raise ValueError("zeroth coefficient must be Hermitian")
         series = coeffs.copy()
         series[1:] *= 2.0
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "series", series)
-
-    @classmethod
-    def from_weight(cls, w: MatrixWeight) -> "HerglotzEvaluator":
-        return cls(coeffs=w.coefficients)
 
     @property
     def dim(self) -> int:
@@ -85,7 +77,7 @@ class HerglotzEvaluator:
         inner = z.copy()
         inner[outer] = 1.0 / np.conj(z[outer])
         values = 1j * evaluate_series(self.series, inner)
-        return np.where(outer[..., None, None], _adjoint(values), values)
+        return np.where(outer[..., None, None], adjoint(values), values)
 
     def boundary_profile(self, theta: np.ndarray, side: str = "inner") -> np.ndarray:
         """Radial boundary values of psi at e^{i theta}, vectorized over angles.
@@ -94,7 +86,7 @@ class HerglotzEvaluator:
         the exact finite sum iF(e^{i theta}) and the outer limit its adjoint.
         """
         inner = 1j * evaluate_series(self.series, np.exp(1j * np.asarray(theta, dtype=float)))
-        return inner if side == "inner" else _adjoint(inner)
+        return inner if side == "inner" else adjoint(inner)
 
     def ring_values(self, grid: CircleGrid) -> np.ndarray:
         """The inner boundary profile iF(e^{i theta_m}) on all grid nodes at

@@ -14,12 +14,17 @@ from . import DEFAULT_SEED
 from .circle import CircleGrid
 from .debranges import CompanionWeightResult, build_system
 from .hardy import RationalTestFunction, gram_norm_estimate, random_test_functions
-from .weights import _as_scalar_samples, koosis_transform, muckenhoupt_sup
+from .weights import _as_scalar_samples, hermitian_part, koosis_transform, muckenhoupt_sup
 
 
 def _check_seed(seed) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+
+
+def _rng_for(seed: int, name: str) -> np.random.Generator:
+    """The seeded stream of one named consumer of the seed."""
+    return np.random.default_rng([int(seed), zlib.crc32(name.encode("utf-8"))])
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
         logs = np.log(np.abs(v1[usable]))
     log_integral = float(np.abs(logs).mean())
 
-    rng = np.random.default_rng([int(seed), zlib.crc32(b"koosis-basis")])
+    rng = _rng_for(seed, "koosis-basis")
     basis = random_test_functions(rng, basis_size, 1, standoff_range=(0.05, 0.9))
     fields = np.stack([f(grid.points)[:, 0] for f in basis], axis=1)
     images = np.zeros_like(fields)
@@ -84,8 +89,7 @@ def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
     weight1 = np.where(usable, v1, 0.0)
     gram0 = (fields.conj().T * weight0) @ fields / grid.size
     gram1 = (images.conj().T * weight1) @ images / grid.size
-    galerkin = gram_norm_estimate(0.5 * (gram1 + gram1.conj().T),
-                                  0.5 * (gram0 + gram0.conj().T))
+    galerkin = gram_norm_estimate(hermitian_part(gram1), hermitian_part(gram0))
 
     try:
         muck = muckenhoupt_sup(samples, grid)

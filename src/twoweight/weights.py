@@ -26,15 +26,25 @@ TRIM_TOL = 1e-14
 MAX_ORDER = MAX_GRID // 2 - 1
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """A* over the last two axes."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2 over the last two axes."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    return 0.5 * (a + adjoint(a))
+
+
+def imag_part(a: np.ndarray) -> np.ndarray:
+    """(A - A*)/2i over the last two axes."""
+    return (a - adjoint(a)) / 2j
 
 
 def psd_rebuild(vec: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """V diag(lam) V* from an eigendecomposition (batched over leading axes),
     made exactly Hermitian: the one way a matrix function is rebuilt."""
-    return hermitian_part((vec * lam[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2)))
+    return hermitian_part((vec * lam[..., None, :]) @ adjoint(vec))
 
 
 def psd_sqrt(values: np.ndarray) -> np.ndarray:
@@ -58,11 +68,11 @@ def _clean_psd_samples(values: np.ndarray, lam: Optional[np.ndarray] = None):
         values = values[:, None, None]
     if values.ndim != 3 or values.shape[1] != values.shape[2]:
         raise ValueError("samples must have shape (M, k, k)")
-    adjoint = np.conj(np.swapaxes(values, -1, -2))
-    defect = np.abs(values - adjoint).max() if values.size else 0.0
+    star = adjoint(values)
+    defect = np.abs(values - star).max() if values.size else 0.0
     if defect > HERMITIAN_TOL:
         raise ValueError(f"samples must be Hermitian (defect {defect:.3e})")
-    values = 0.5 * (values + adjoint)
+    values = 0.5 * (values + star)
     if values.shape[1] == 1:
         diag = values[:, 0, 0].real
         if diag.min(initial=0.0) < -PSD_CLAMP:
@@ -121,8 +131,8 @@ class MatrixWeight:
     eigenvalues: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.schatten_p < 1:
-            raise ValueError("Schatten index must satisfy p >= 1")
+        if not self.schatten_p >= 1:  # NaN fails too
+            raise ValueError(f"Schatten index schatten_p must be >= 1, got {self.schatten_p}")
         if self.dim < 1:
             raise ValueError("weight dimension must be at least 1")
         if self.kind == "fourier":
@@ -134,10 +144,10 @@ class MatrixWeight:
             if coeffs.ndim != 3 or coeffs.shape[1:] != (self.dim, self.dim):
                 raise ValueError("Fourier data must have shape (d+1, k, k)")
             zero = coeffs[0]
-            if np.abs(zero - zero.conj().T).max() > HERMITIAN_TOL:
+            if np.abs(zero - adjoint(zero)).max() > HERMITIAN_TOL:
                 raise ValueError("zeroth Fourier coefficient must be Hermitian")
             coeffs = coeffs.copy()
-            coeffs[0] = 0.5 * (zero + zero.conj().T)
+            coeffs[0] = hermitian_part(zero)
             object.__setattr__(self, "fourier", coeffs)
             # synthesizing on the natural grid validates positivity up front
             self.samples_on(self.natural_grid())
@@ -243,7 +253,7 @@ class MatrixWeight:
         tail = self.coefficients.copy()
         tail[0] = 0.0
         t = series_fn(tail, where)
-        return hermitian_part(self.coefficients[0] + t + np.conj(np.swapaxes(t, -1, -2)))
+        return hermitian_part(self.coefficients[0] + t + adjoint(t))
 
     def scaled(self, factor: float) -> "MatrixWeight":
         if factor < 0:
@@ -302,31 +312,20 @@ def _as_scalar_samples(v, grid: CircleGrid) -> np.ndarray:
     return samples.copy()
 
 
-def koosis_transform(v, grid: CircleGrid, direction: str = "forward",
-                     constant: Optional[float] = None):
-    """Scalar weight transform between v and normalize(1/v).
-
-    forward: returns (normalize(1/v), c) with the normalization constant c.
-    backward: returns (c / w, c), the pointwise inverse scaled back.
-    Samples of +inf are legal in v (they map to zeros of 1/v).
-    """
+def koosis_transform(v, grid: CircleGrid):
+    """The scalar weight transform v -> (normalize(1/v), c), c the
+    normalization constant, so that v = c / w.  Samples of +inf are legal in
+    v (they map to zeros of 1/v)."""
     samples = _as_scalar_samples(v, grid)
     if np.any(samples <= VANISH_TOL):
         raise ValueError("weight vanishes on a grid point")
-    if direction == "forward":
-        with np.errstate(divide="ignore"):
-            inverted = np.where(np.isinf(samples), 0.0, 1.0 / samples)
-        mean_norm = float(np.abs(inverted).mean())
-        if mean_norm <= VANISH_TOL:
-            raise ValueError("degenerate weight")
-        c = 1.0 / mean_norm
-        w = MatrixWeight.from_samples(inverted * c, grid)
-        return w, c
-    if direction == "backward":
-        if constant is None:
-            raise ValueError("backward transform needs the normalization constant")
-        return constant / samples, constant
-    raise ValueError("direction must be 'forward' or 'backward'")
+    with np.errstate(divide="ignore"):
+        inverted = np.where(np.isinf(samples), 0.0, 1.0 / samples)
+    mean_norm = float(np.abs(inverted).mean())
+    if mean_norm <= VANISH_TOL:
+        raise ValueError("degenerate weight")
+    c = 1.0 / mean_norm
+    return MatrixWeight.from_samples(inverted * c, grid), c
 
 
 def muckenhoupt_sup(v, grid: CircleGrid) -> float:
@@ -486,24 +485,37 @@ def _numbers_only(blocks) -> bool:
     return set(map(type, chain.from_iterable(chain.from_iterable(blocks)))) <= {int, float}
 
 
-def _sample_stack(data: list, dim: int) -> np.ndarray:
-    """The (M, dim, dim) stack of the samples entries: one conversion each for
-    the real and imaginary parts when every entry is well formed and finite,
-    else the entry-by-entry read that names the first malformed one."""
+def _matrix_stack(data: list, dim: int, names) -> np.ndarray:
+    """The (len(data), dim, dim) stack of the entries' real (and optional
+    imag) matrices: one conversion each for the real and imaginary parts when
+    every entry is well formed and finite, else the entry-by-entry read that
+    names the first malformed one.  names is an iterable read in step with
+    data by that read alone, so a name may check its entry first."""
     try:
         reals = [entry["real"] for entry in data]
-        imags = [entry["imag"] for entry in data]
+        imags = [entry["imag"] for entry in data if "imag" in entry]
         real = np.asarray(reals, dtype=float)
-        imag = np.asarray(imags, dtype=float)
+        imag = np.asarray(imags, dtype=float) if imags else np.zeros(real.shape)
         if (real.shape == imag.shape == (len(data), dim, dim)
                 and _numbers_only(chain(reals, imags))
                 and np.isfinite(real).all() and np.isfinite(imag).all()):
             return real + 1j * imag
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
-    return np.stack([
-        _matrix_from_entry(entry, dim, f"sample {i}") for i, entry in enumerate(data)
-    ])
+    return np.stack([_matrix_from_entry(entry, dim, name) for entry, name in zip(data, names)])
+
+
+def _fourier_order(entry: dict) -> int:
+    """The entry's order n, an integer in 0..MAX_ORDER."""
+    if "n" not in entry:
+        raise ValueError("Fourier entries need an order field 'n'")
+    order = _integer(entry["n"], "order n")
+    if order < 0:
+        raise ValueError("Fourier entries carry n >= 0 only")
+    if order > MAX_ORDER:
+        raise ValueError(f"Fourier order n={order} is above {MAX_ORDER}, "
+                         f"the largest order a {MAX_GRID}-node grid resolves")
+    return order
 
 
 def load_weight_spec(path) -> MatrixWeight:
@@ -527,23 +539,15 @@ def load_weight_spec(path) -> MatrixWeight:
     if not all(isinstance(entry, dict) for entry in data):
         raise ValueError("weight spec data entries must be JSON objects")
     if kind == "fourier":
-        # every entry is read and checked before the coefficient stack exists
-        orders, blocks = [], []
-        for entry in data:
-            if "n" not in entry:
-                raise ValueError("Fourier entries need an order field 'n'")
-            order = _integer(entry["n"], "order n")
-            if order < 0:
-                raise ValueError("Fourier entries carry n >= 0 only")
-            if order > MAX_ORDER:
-                raise ValueError(f"Fourier order n={order} is above {MAX_ORDER}, "
-                                 f"the largest order a {MAX_GRID}-node grid resolves")
-            orders.append(order)
-            blocks.append(_matrix_from_entry(entry, dim, f"coefficient n={order}"))
+        # every entry is checked before the coefficient stack exists, its n first
+        names = (f"coefficient n={_fourier_order(entry)}" for entry in data)
+        blocks = _matrix_stack(data, dim, names)
+        orders = [_fourier_order(entry) for entry in data]
         coeffs = np.zeros((max(orders) + 1, dim, dim), dtype=complex)
-        for order, block in zip(orders, blocks):
+        for order, block in zip(orders, blocks):  # a repeated order: the last wins
             coeffs[order] = block
         return MatrixWeight.from_fourier(coeffs, schatten_p=schatten_p)
     if kind == "samples":
-        return MatrixWeight.from_samples(_sample_stack(data, dim), schatten_p=schatten_p)
+        names = (f"sample {i}" for i in range(len(data)))
+        return MatrixWeight.from_samples(_matrix_stack(data, dim, names), schatten_p=schatten_p)
     raise ValueError("weight spec kind must be 'fourier' or 'samples'")

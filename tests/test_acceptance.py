@@ -36,7 +36,7 @@ def _system(name):
 def _ops(name, size):
     key = (name, size)
     if key not in _OPS:
-        _OPS[key] = HardyOperators.build(_system(name), size=size)
+        _OPS[key] = HardyOperators(_system(name), CircleGrid(size))
     return _OPS[key]
 
 
@@ -152,7 +152,7 @@ def test_gate_03_model_route_identities(capsys):
 def test_gate_04_gram_identity(capsys):
     problems = []
     targets = [(fx, _ops(fx, 256)) for fx in FIXTURE_NAMES]
-    targets += [(f"random-{i}", HardyOperators.build(system, size=256))
+    targets += [(f"random-{i}", HardyOperators(system, CircleGrid(256)))
                 for i, (system, _) in enumerate(_random_systems())]
     rng = np.random.default_rng([1729, 4])
     pairs = [(_draw_z(rng), _draw_z(rng)) for _ in range(50)]

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twoweight.circle import (CircleGrid, FourierSeries, MatrixSampleField,
-                              TWO_PI, circle_mean, evaluate_series,
-                              fourier_coefficients, poisson_kernel)
+from twoweight.circle import (CircleGrid, MatrixSampleField, TWO_PI, circle_mean,
+                              evaluate_series, poisson_kernel, synthesize_series)
 
 # the long-double references need a format finer than double (x87 extended
 # or IEEE quad); where long double is double they prove nothing
@@ -43,30 +42,9 @@ def test_fft_roundtrip_random_field():
     rng = np.random.default_rng(42)
     grid = CircleGrid(64)
     values = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
-    field = MatrixSampleField(grid, values)
-    back = fourier_coefficients(field).synthesize(grid).values
+    # the M orders of the FFT, read as orders 0..M-1, sum back to the samples
+    back = synthesize_series(np.fft.fft(values, axis=0) / grid.size, grid)
     assert np.abs(back - values).max() < 1e-13
-
-
-def test_fourier_coefficients_match_direct_sum():
-    grid = CircleGrid(16)
-    values = (np.cos(grid.nodes) + 2.0)[:, None, None] * np.eye(1)
-    series = fourier_coefficients(MatrixSampleField(grid, values))
-    # cos has coefficients 1/2 at orders +-1, constant 2 at order 0
-    assert list(series.orders) == list(range(-8, 8))
-    assert series.coeffs.shape == (16, 1, 1)
-    expected = np.zeros(16)
-    expected[series.orders == 0] = 2.0
-    expected[np.abs(series.orders) == 1] = 0.5
-    assert np.abs(series.coeffs[:, 0, 0] - expected).max() < 1e-14
-
-
-def test_synthesize_rejects_size_mismatch():
-    grid = CircleGrid(16)
-    series = fourier_coefficients(
-        MatrixSampleField(grid, np.ones((16, 1, 1))))
-    with pytest.raises(ValueError):
-        series.synthesize(CircleGrid(32))
 
 
 def test_poisson_kernel_mean_and_positivity():

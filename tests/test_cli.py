@@ -424,6 +424,67 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
     assert not out.exists()
 
 
+_UNIT_SAMPLES = [{"real": [[1.0]], "imag": [[0.0]]}] * 64
+# spec text -> the one stderr line of construct and of verify --weight-spec
+HOSTILE = {
+    "string-entry": (json.dumps({"dim": 1, "kind": "fourier", "data": [_ONE_ORDER, "x"]}),
+                     "weight spec data entries must be JSON objects"),
+    "bool": (json.dumps({"dim": 1, "kind": "fourier",
+                         "data": [_ONE_ORDER, {"n": 1, "real": [[True]]}]}),
+             "coefficient n=1 must be a 1x1 real/imag matrix pair"),
+    # JSON reads 1e309 as inf
+    "1e309": ('{"dim": 1, "kind": "fourier", "data": [{"n": 0, "real": [[1.0]]}, '
+              '{"n": 1, "real": [[1e309]]}]}', "coefficient n=1 must be finite"),
+    "wrong-shape": (json.dumps({"dim": 2, "kind": "fourier",
+                                "data": [{"n": 0, "real": [[1.0, 0.0]]}]}),
+                    "coefficient n=0 must be a 2x2 real/imag matrix pair"),
+    # entry 0's matrix is read before entry 1's order
+    "two-faults": (json.dumps({"dim": 1, "kind": "fourier",
+                               "data": [{"n": 0, "real": [[1.0, 2.0]]},
+                                        {"n": -1, "real": [[1.0]]}]}),
+                   "coefficient n=0 must be a 1x1 real/imag matrix pair"),
+    "string-sample": (json.dumps({"dim": 1, "kind": "samples", "data": [
+        *_UNIT_SAMPLES[:5], {"real": [["1"]], "imag": [[0.0]]}, *_UNIT_SAMPLES[6:]]}),
+                      "sample 5 must be a 1x1 real/imag matrix pair"),
+    "infinite-sample": (json.dumps({"dim": 1, "kind": "samples", "data": [
+        *_UNIT_SAMPLES[:7], {"real": [[float("inf")]], "imag": [[0.0]]},
+        *_UNIT_SAMPLES[8:]]}), "sample 7 must be finite"),
+    # json reads NaN; p = nan used to load (k = 1) or fail as non-finite samples
+    "nan-p-k1": ('{"dim": 1, "schatten_p": NaN, "kind": "fourier", "data": '
+                 '[{"n": 0, "real": [[1.0]]}, {"n": 1, "real": [[0.25]]}]}',
+                 "Schatten index schatten_p must be >= 1, got nan"),
+    "nan-p-k2": ('{"dim": 2, "schatten_p": NaN, "kind": "fourier", "data": '
+                 '[{"n": 0, "real": [[1.0, 0.0], [0.0, 2.0]]}, '
+                 '{"n": 1, "real": [[0.25, 0.0], [0.0, 0.5]]}]}',
+                 "Schatten index schatten_p must be >= 1, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_spec_exits_two_with_its_message(tmp_path, capsys, case):
+    text, message = HOSTILE[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    for command in ("construct", "verify"):
+        assert main([command, "--weight-spec", str(spec), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_imagless_and_repeated_order_specs_still_load(tmp_path):
+    spec = tmp_path / "spec.json"
+    # every entry without imag: the one-conversion read takes imag = 0
+    spec.write_text(json.dumps({"dim": 1, "kind": "fourier",
+                                "data": [_ONE_ORDER, {"n": 1, "real": [[0.25]]}]}))
+    assert load_weight_spec(spec).fourier[:, 0, 0].tolist() == [1.0, 0.25]
+    # a repeated order: the last entry wins
+    spec.write_text(json.dumps({"dim": 1, "kind": "fourier", "data": [
+        _ONE_ORDER, {"n": 1, "real": [[0.4]]},
+        {"n": 1, "real": [[0.25]], "imag": [[0.125]]}]}))
+    assert load_weight_spec(spec).fourier[:, 0, 0].tolist() == [1.0, 0.25 + 0.125j]
+
+
 def test_verify_infinite_spec_exits_two_naming_the_sample(tmp_path):
     spec = tmp_path / "infinite.json"
     spec.write_text(json.dumps(_INFINITE_SAMPLE))

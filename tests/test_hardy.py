@@ -14,7 +14,7 @@ RNG = np.random.default_rng(99)
 
 
 def _ops(name, size=256):
-    return HardyOperators.build(build_system(fixture(name)), size)
+    return HardyOperators(build_system(fixture(name)), CircleGrid(size))
 
 
 OPS_CONST = _ops("W_CONST", 1024)
@@ -171,7 +171,7 @@ def _weights_under_test():
 def test_contraction_ratios_match_per_function_reference():
     rng = np.random.default_rng(2024)
     for w in _weights_under_test():
-        ops = HardyOperators.build(build_system(w), 4096)
+        ops = HardyOperators(build_system(w), CircleGrid(4096))
         dim = ops.system.dim
         five = RationalTestFunction(np.array([1.5, 0.5j, -0.7, 1.2j, 0.9 - 0.9j]),
                                     np.ones((5, dim)))
@@ -186,7 +186,7 @@ def test_contraction_ratios_match_per_function_reference():
 def test_gram_data_matches_per_function_reference():
     rng = np.random.default_rng(2025)
     for w in _weights_under_test():
-        ops = HardyOperators.build(build_system(w), 1024)
+        ops = HardyOperators(build_system(w), CircleGrid(1024))
         for count in (8, 40):
             basis = random_test_functions(rng, count, ops.system.dim)
             for op in OPERATORS:
@@ -199,7 +199,7 @@ def test_x_sup_matches_per_function_reference():
     rng = np.random.default_rng(2026)
     fine = CircleGrid(16384)
     for w in _weights_under_test():
-        ops = HardyOperators.build(build_system(w), 4096)
+        ops = HardyOperators(build_system(w), CircleGrid(4096))
         basis = random_test_functions(rng, 8, ops.system.dim)
         reference = np.array([(np.abs(_reference_fields(ops, f, fine)[1]) ** 2).sum(axis=1).max()
                               for f in basis])
@@ -209,7 +209,7 @@ def test_x_sup_matches_per_function_reference():
 def test_pointwise_operators_match_per_function_reference():
     rng = np.random.default_rng(2027)
     for w in _weights_under_test():
-        ops = HardyOperators.build(build_system(w), 1024)
+        ops = HardyOperators(build_system(w), CircleGrid(1024))
         keep = ops.unflagged[:, None]
         for f in random_test_functions(rng, 3, ops.system.dim):
             # relative to the terms that cancel: P+- f vanishes when every pole
@@ -269,11 +269,11 @@ def test_contraction_ratios_require_grid_clearance():
     # standoff 0.01: M >= ln(1e6)/0.01, so 1382 nodes and up
     for size in (64, 1024):
         with pytest.raises(ValueError, match="grid"):
-            HardyOperators.build(system, size).contraction_ratios([f])
+            HardyOperators(system, CircleGrid(size)).contraction_ratios([f])
     # unguarded, M = 64 read 0.3405 for P+ here (off by 0.031 from the resolved
     # value) and M = 1024 read 0.3094575 (off by 4.5e-6)
-    fine = HardyOperators.build(system, 4096).contraction_ratios([f])
-    finer = HardyOperators.build(system, 8192).contraction_ratios([f])
+    fine = HardyOperators(system, CircleGrid(4096)).contraction_ratios([f])
+    finer = HardyOperators(system, CircleGrid(8192)).contraction_ratios([f])
     assert np.abs(fine - finer).max() < 1e-5
 
 
@@ -314,6 +314,18 @@ def test_projection_vs_quadrature_probe():
     direct = OPS_CONST.project(f, "+")
     quad = OPS_CONST.project_quadrature(f, "+")
     assert np.abs(direct - quad).max() < 200.0 / 1024 ** 2
+
+
+def test_quadrature_routes_zero_the_flagged_rows():
+    # W_COS vanishes at pi, whose node is flagged; the quadrature routes zero
+    # that row, as project and hilbert do, and keep every other
+    ops = _ops("W_COS", 1024)
+    assert list(np.flatnonzero(~ops.unflagged)) == [512]
+    f = RationalTestFunction(np.array([2.0 + 0j]), np.array([[1.0 + 0j]]))
+    for quad in (ops.project_quadrature(f, "+"), ops.project_quadrature(f, "-"),
+                 ops.hilbert_quadrature(f)):
+        assert np.all(quad[512] == 0.0)
+        assert np.all(quad[ops.unflagged] != 0.0)
 
 
 def test_hilbert_closed_forms_const():
@@ -371,7 +383,7 @@ def test_gram_identity_rejects_reflection_locus():
 def test_apply_x_rotates_coefficients_only():
     """X keeps the pole set and multiplies each coefficient by D0(pole)."""
     system = build_system(fixture("W_DIAG"))
-    ops = HardyOperators.build(system, 256)
+    ops = HardyOperators(system, CircleGrid(256))
     f = random_test_functions(RNG, 1, 2, max_terms=2)[0]
     image = ops.apply_x(f)
     assert np.allclose(image.poles, f.poles)

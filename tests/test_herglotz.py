@@ -37,13 +37,13 @@ def test_radial_limit_evaluates_the_ladder_in_one_call():
 def test_psi_at_origin_is_i_times_mean():
     for name in ("W_CONST", "W_COS", "W_DIAG"):
         w = fixture(name)
-        ev = HerglotzEvaluator.from_weight(w)
+        ev = HerglotzEvaluator(w.coefficients)
         mean = w.samples_on(w.natural_grid()).mean(axis=0)
         assert np.abs(ev.psi(0.0) - 1j * mean).max() < 1e-12
 
 
 def test_psi_rejects_points_near_circle():
-    ev = HerglotzEvaluator.from_weight(fixture("W_COS"))
+    ev = HerglotzEvaluator(fixture("W_COS").coefficients)
     with pytest.raises(ValueError, match="boundary"):
         ev.psi(1.0 + 1e-10)
     with pytest.raises(ValueError, match="boundary"):
@@ -51,7 +51,7 @@ def test_psi_rejects_points_near_circle():
 
 
 def test_psi_on_an_array_matches_pointwise():
-    ev = HerglotzEvaluator.from_weight(fixture("W_DIAG"))
+    ev = HerglotzEvaluator(fixture("W_DIAG").coefficients)
     points = np.array([[0.0, 0.4 * np.exp(0.9j)], [-1.5j, 2.5 + 0.1j]])
     values = ev.psi(points)
     assert values.shape == (2, 2, 2, 2)
@@ -61,7 +61,7 @@ def test_psi_on_an_array_matches_pointwise():
 
 def test_psi_positive_imaginary_part_inside():
     w = random_polynomial_weight(RNG, 2)
-    ev = HerglotzEvaluator.from_weight(w)
+    ev = HerglotzEvaluator(w.coefficients)
     for _ in range(10):
         z = RNG.uniform(0.1, 0.8) * np.exp(1j * RNG.uniform(0, 2 * np.pi))
         p = ev.psi(z)
@@ -72,7 +72,7 @@ def test_psi_positive_imaginary_part_inside():
 def test_psi_symmetry_between_inside_and_outside():
     """psi(1/conj(z))* = psi(z) for the reflected point."""
     for name in ("W_DIAG", "W_COS"):
-        ev = HerglotzEvaluator.from_weight(fixture(name))
+        ev = HerglotzEvaluator(fixture(name).coefficients)
         z = 0.4 * np.exp(0.9j)
         reflected = 1.0 / np.conj(z)
         assert np.abs(ev.psi(reflected).conj().T - ev.psi(z)).max() < 1e-13
@@ -80,7 +80,7 @@ def test_psi_symmetry_between_inside_and_outside():
 
 def test_series_vs_quadrature_on_random_weight():
     w = random_polynomial_weight(RNG, 2)
-    ev = HerglotzEvaluator.from_weight(w)
+    ev = HerglotzEvaluator(w.coefficients)
     field = w.field_on(CircleGrid(256))
     for z in (0.3, -0.45j, 1.9 + 0.2j):
         direct = ev.psi(z)
@@ -99,7 +99,7 @@ def test_pair_kernel_quadrature_matches_separable_case():
 
 
 def test_boundary_exact_matches_ladder():
-    ev = HerglotzEvaluator.from_weight(fixture("W_COS"))
+    ev = HerglotzEvaluator(fixture("W_COS").coefficients)
     for theta in (0.3, 2.0, 4.5):
         point = np.exp(1j * theta)
         for side in ("inner", "outer"):
@@ -109,7 +109,7 @@ def test_boundary_exact_matches_ladder():
 
 
 def test_boundary_profile_vectorizes_boundary():
-    ev = HerglotzEvaluator.from_weight(random_polynomial_weight(RNG, 2))
+    ev = HerglotzEvaluator(random_polynomial_weight(RNG, 2).coefficients)
     grid = CircleGrid(64)
     prof = ev.boundary_profile(grid.nodes, "inner")
     assert np.abs(prof - ev.ring_values(grid)).max() < 1e-13
@@ -125,7 +125,7 @@ def test_jump_recovers_weight():
     weights = [fixture(name) for name in ("W_COS", "W_DIAG", "W_RANK1")] + [sampled]
     for w in weights:
         grid = CircleGrid(128)
-        ev = HerglotzEvaluator.from_weight(w)
+        ev = HerglotzEvaluator(w.coefficients)
         jump = (ev.boundary_profile(grid.nodes, "inner")
                 - ev.boundary_profile(grid.nodes, "outer")) / 2j
         assert np.abs(jump - w.samples_on(grid)).max() < 1e-12
@@ -133,6 +133,6 @@ def test_jump_recovers_weight():
 
 def test_ring_values_reject_coarse_grid():
     w = random_polynomial_weight(RNG, 1, half_degree=16)  # degree 16
-    ev = HerglotzEvaluator.from_weight(w)
+    ev = HerglotzEvaluator(w.coefficients)
     with pytest.raises(ValueError, match="coarse"):
         ev.ring_values(CircleGrid(16))

@@ -15,11 +15,11 @@ from twoweight.hardy import HardyOperators
 from twoweight.herglotz import neville_extrapolate, radial_limit
 from twoweight.model import BUILD_CAP
 from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, X_GRAM, CheckResult,
-                              Report, SuiteConfig, _imag_part, enumerate_checks,
+                              Report, SuiteConfig, enumerate_checks,
                               koosis_pipeline, nondegeneracy_report, parse_report,
                               run_suite, run_weight_checks)
 from twoweight.weights import (FIXTURE_NAMES, MAX_ORDER, MatrixWeight, fixture,
-                               random_polynomial_weight)
+                               imag_part, random_polynomial_weight)
 
 FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
 
@@ -165,7 +165,9 @@ def test_run_weight_checks_sizes_the_grid_from_the_degree():
     assert [e.name for e in report.entries if e.status == "error"] == []
     # k = 1 Fourier weights 1 + sum c_n cos(n theta) with sum |c_n| = 0.4: the
     # rows on fixed 512..4096-node grids, and every row once the degree grid
-    # passed the old 8192-node cap (d = 4096), used to be "too coarse" errors
+    # passed the old 8192-node cap (d = 4096), used to be "too coarse" errors.
+    # The ladder row passes because its rungs start at the degree grid: on a
+    # j = 6..14 ladder it reads 3.1e-9 (d = 1024) and 4.5e-6 (d = 4096)
     for degree in (1024, 4096):
         c = np.random.default_rng(degree).standard_normal(degree + 1) + 0j
         c *= 0.4 / np.abs(c[1:]).sum()
@@ -173,6 +175,8 @@ def test_run_weight_checks_sizes_the_grid_from_the_degree():
         report = run_weight_checks(MatrixWeight.from_fourier(c))
         assert [e.message for e in report.entries if "too coarse" in e.message] == []
         assert [e.name for e in report.entries if e.status == "error"] == [], degree
+        ladder, = (e for e in report.entries if e.name == "herglotz.ladder_vs_exact[WEIGHT]")
+        assert ladder.passed, (degree, ladder.value)
 
 
 def test_model_sizes_follow_the_degree_grid():
@@ -419,7 +423,7 @@ def test_quadrature_rows_pass_across_seeds():
     fixture at suite seeds 0..199 and 502245490; the operators are built
     once and handed to the rows."""
     size = verify.QUADRATURE_GRID
-    ops = {(fx, size): HardyOperators.build(build_system(fixture(fx)), size)
+    ops = {(fx, size): HardyOperators(build_system(fixture(fx)), CircleGrid(size))
            for fx in FIXTURE_NAMES}
     ctx = SimpleNamespace(ops=lambda fx, grid_size: ops[fx, grid_size])
     rows = (("hardy.projection_vs_quadrature", verify._check_projection_vs_quadrature),
@@ -518,7 +522,7 @@ def test_batched_ladder_matches_per_radius_stack(name):
     system = build_system(fixture(name))
     for point in CircleGrid(256).points[[3, 64, 131]]:
         ladders = (
-            (lambda r: _imag_part(system.psi1(r * point)), "inner", 13, 20),
+            (lambda r: imag_part(system.psi1(r * point)), "inner", 13, 20),
             (lambda r: system.psi0.psi(r * point), "inner", 6, 14),
             (lambda r: system.psi0.psi(r * point), "outer", 6, 14),
         )

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from twoweight import weights
 from twoweight.circle import CircleGrid, next_power_of_two
 from twoweight.weights import (FIXTURE_NAMES, MAX_ORDER, MatrixWeight, _mean_norm,
                                fixture, koosis_transform, load_weight_spec,
@@ -165,7 +166,7 @@ def test_koosis_roundtrip_and_infinity():
     v0 = 1.5 + np.cos(grid.nodes)
     w, c = koosis_transform(v0, grid)
     assert abs(np.array([_schatten_norm(s, 1) for s in w.values]).mean() - 1.0) < 1e-12
-    back, _ = koosis_transform(w.values[:, 0, 0].real, grid, "backward", constant=c)
+    back = c / w.values[:, 0, 0].real
     assert np.abs(back - v0).max() < 1e-12 * np.abs(v0).max()
 
     v0_inf = v0.copy()
@@ -180,8 +181,6 @@ def test_koosis_rejects_vanishing_samples():
     v0[5] = 0.0
     with pytest.raises(ValueError, match="vanishes"):
         koosis_transform(v0, grid)
-    with pytest.raises(ValueError):
-        koosis_transform(v0, grid, "backward", constant=1.0)
 
 
 def test_muckenhoupt_sup():
@@ -356,3 +355,26 @@ def test_samples_spec_stack_matches_entry_by_entry_read(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"^sample 5 must be a 1x1 real/imag matrix pair$"):
             load_weight_spec(path)
+
+
+def test_fourier_spec_stack_matches_entry_by_entry_read(tmp_path, monkeypatch):
+    """A Fourier spec of orders 0..4096 loads by the one-conversion read (the
+    entry-by-entry read is made to fail) to the coefficients that the
+    entry-by-entry read builds."""
+    c = np.random.default_rng(4096).standard_normal(4097) \
+        + 1j * np.random.default_rng(4097).standard_normal(4097)
+    c *= 0.4 / np.abs(c[1:]).sum()
+    c[0] = 1.0
+    path = tmp_path / "fourier.json"
+    save_weight_spec(MatrixWeight.from_fourier(c), path)
+    doc = json.loads(path.read_text())
+    reference = np.stack([weights._matrix_from_entry(e, 1, f"coefficient n={e['n']}")
+                          for e in doc["data"]])
+
+    def refuse(*args):
+        raise AssertionError("entry-by-entry read")
+
+    monkeypatch.setattr(weights, "_matrix_from_entry", refuse)
+    loaded = load_weight_spec(path)
+    assert loaded.degree == 4096
+    assert loaded.fourier.tobytes() == MatrixWeight.from_fourier(reference).fourier.tobytes()
