@@ -26,6 +26,10 @@ CLUSTER = 1e-9
 # couples nothing; it moves an eigenvalue or a mass by about that much
 DEFLATE = 1e-15
 SECULAR_STEPS = 200
+# a Newton pass evaluates its roots in chunks whose Taylor rows
+# (TAYLOR_TERMS + 1 rows of r^2 parameters per root) take at most this many
+# bytes; every step is per root, so the chunks do not move a bit
+GATHER_BYTES = 1 << 22
 # the secular sums are tabulated on a grid OVERSAMPLE times finer than the
 # nodes; from there a Taylor series in (n - M/2) x/M with |x| <= pi/2 needs
 # TAYLOR_TERMS terms for (pi/4)^p/p! to fall below 1e-17
@@ -218,8 +222,9 @@ class _Secular:
     nodes (Q_m != 0), so each eigenvalue branch of H has at most one zero
     there, and e^{i omega} is an eigenvalue of U1 exactly where H is singular.
 
-    The nodes are equispaced, so for each real sequence c (the r^2 real
-    parameters of the Hermitian Q_m)
+    A Hermitian r x r matrix is carried as its r^2 real parameters (`flat`):
+    the real parts of its upper triangle, then the imaginary parts above the
+    diagonal.  The nodes are equispaced, so for each parameter sequence c
         sum_m c_m cot((theta_m - omega)/2) = -Re P(omega) / sin(M omega/2),
         P(omega) = sum_{n<M} c^_n e^{i(n - M/2) omega},  c^ = FFT(c),
     and P is summed at omega as a Taylor series from the nearest point of a
@@ -239,7 +244,8 @@ class _Secular:
         self.amplitudes = (model.g @ vr) / root
         b = (vr * root).reshape(size, k, r)
         q = np.conj(np.swapaxes(b, 1, 2)) @ b
-        lam, vec = np.linalg.eigh(q)
+        # LAPACK's 1 x 1 eigenpair is (Re q, 1) exactly
+        lam, vec = (q[:, 0].real, np.ones_like(q)) if r == 1 else np.linalg.eigh(q)
         strong = lam > DEFLATE
         self.ranks = strong.sum(axis=1)
         # a node of rank < r keeps the rest of its fibre exactly at theta_m
@@ -255,8 +261,12 @@ class _Secular:
         self._upper = np.triu_indices(r)
         self._off = self._upper[0] < self._upper[1]
         upper = q[:, self._upper[0], self._upper[1]]
-        self.table = _taylor_table(np.concatenate([upper.real, upper[:, self._off].imag],
-                                                  axis=1))
+        self.flat = np.concatenate([upper.real, upper[:, self._off].imag], axis=1)
+        self._diag_flat = np.zeros(r * r)
+        self._diag_flat[np.flatnonzero(~self._off)] = self.diag
+        self.table = _taylor_table(self.flat)
+        self._divisors = np.arange(1, TAYLOR_TERMS)[:, None]
+        self._steps = np.arange(-1, 2)
         # rounding scale sum_m tr Q_m |cot|: the nearest node and its two
         # neighbours exactly, the other nodes as seen from the nearest node
         self.traces = np.einsum("mii->m", q).real
@@ -265,7 +275,7 @@ class _Secular:
         self.far_scale = np.fft.irfft(np.fft.rfft(self.traces) * np.fft.rfft(kernel), size) \
             + self.diag.sum()
 
-    def _matrices(self, flat: np.ndarray) -> np.ndarray:
+    def matrices(self, flat: np.ndarray) -> np.ndarray:
         """The Hermitian r x r matrices with the real parameters `flat`."""
         rows, cols = self._upper
         z = flat[:, :rows.size].astype(complex)
@@ -275,56 +285,78 @@ class _Secular:
         out[:, cols, rows] = z.conj()
         return out
 
-    def evaluate(self, origin: np.ndarray, t: np.ndarray):
-        """H, the far slope sum_{m != origin} Q_m csc^2((theta_m - omega)/2)
-        and the rounding scale sum_m |Q_m cot| of H at omega = theta_origin + t
-        (t != 0), from t alone: the root keeps its full relative precision
-        next to its origin."""
+    def form_weights(self, x: np.ndarray) -> np.ndarray:
+        """w with x* M x = sum_p w_p flat_p for every Hermitian M, per row of x."""
+        rows, cols = self._upper
+        xx = x[:, rows].conj() * x[:, cols]
+        return np.concatenate([np.where(self._off, 2.0, 1.0) * xx.real,
+                               -2.0 * xx[:, self._off].imag], axis=1)
+
+    def parameters(self, origin: np.ndarray, t: np.ndarray):
+        """H and the far slope sum_{m != origin} Q_m csc^2((theta_m - omega)/2)
+        as real parameters, and the rounding scale sum_m |Q_m cot| of H, at
+        omega = theta_origin + t (t != 0), from t alone: the root keeps its
+        full relative precision next to its origin."""
         size, over = self.size, OVERSAMPLE
         fine = TWO_PI / (over * size)
         shift = np.rint(t / fine).astype(int)
         g = (over * origin + shift) % (over * size)
         x = size * (t - shift * fine)
         node = g % over == 0
-        powers = np.cumprod(np.concatenate(
-            [np.ones((x.size, 1)), x[:, None] / np.arange(1, TAYLOR_TERMS)], axis=1), axis=1)
+        # x^p/p! as the running products of x/p, a row of roots at a time
+        powers = np.empty((TAYLOR_TERMS, x.size))
+        powers[0] = 1.0
+        np.divide(x, self._divisors, out=powers[1:])
+        for p in range(2, TAYLOR_TERMS):
+            powers[p] *= powers[p - 1]
         coef = np.zeros((x.size, 2, TAYLOR_TERMS + 1))
-        coef[:, 0, :-1] = powers
-        coef[:, 1, 1:] = powers
+        coef[:, 0, :-1] = powers.T
+        coef[:, 1, 1:] = powers.T
         sums = coef @ self.table[g]
         # F = a S and dF/domega = M (a S' + a' S) with S the row's series at x
         # and a = -1/sin(M omega/2) at a fine point, -x/sin(x/2) at a node;
         # e = M a', with y = x/2
         angle = (np.pi / over) * (g % (2 * over)) + 0.5 * x
-        y = 0.5 * x
+        y = 0.5 * x[node]
         sinc = np.sinc(y / np.pi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(node, -2.0 / sinc, -1.0 / np.sin(angle))
-            e = np.where(node, -size * y * np.polyval(SIN_MINUS_Y_COS, y * y) / sinc ** 2,
-                         0.5 * size * np.cos(angle) * a * a)
-        h = self._matrices(a[:, None] * sums[:, 0]) + np.diag(self.diag)
-        far = self._matrices(2.0 * ((size * a)[:, None] * sums[:, 1] + e[:, None] * sums[:, 0]))
+            a = -1.0 / np.sin(angle)
+            e = 0.5 * size * np.cos(angle) * a * a
+        a[node] = -2.0 / sinc
+        e[node] = -size * y * np.polyval(SIN_MINUS_Y_COS, y * y) / sinc ** 2
+        h = a[:, None] * sums[:, 0]
+        h += self._diag_flat
+        far = (size * a)[:, None] * sums[:, 1]
+        far += e[:, None] * sums[:, 0]
+        far *= 2.0
         # the centre node's own term, from the offset to it (t at the origin)
         j = g // over
         at_origin = node & (j == origin)
         own = np.flatnonzero(node & (self.ranks[j] > 0))
         tau = np.where(at_origin, t, x / size)[own]
-        h[own] -= self.q[j[own]] / np.tan(0.5 * tau)[:, None, None]
-        far[own] += np.where(at_origin[own], 0.0, 1.0 / np.sin(0.5 * tau) ** 2)[:, None, None] \
-            * self.q[j[own]]
-        off = ~at_origin
-        far[off] -= self.q[origin[off]] / (np.sin(0.5 * t[off]) ** 2)[:, None, None]
+        q_own = self.flat[j[own]]
+        h[own] -= q_own * (1.0 / np.tan(0.5 * tau))[:, None]
+        far[own] += np.where(at_origin[own], 0.0, 1.0 / np.sin(0.5 * tau) ** 2)[:, None] \
+            * q_own
+        origin_term = self.flat[origin]
+        origin_term *= np.where(at_origin, 0.0, 1.0 / np.sin(0.5 * t) ** 2)[:, None]
+        far -= origin_term
 
         nearest = np.rint(t * (size / TWO_PI)).astype(int)
         offset = t - nearest * (TWO_PI / size)
         nearest = (origin + nearest) % size
-        steps = np.arange(-1, 2)
+        steps = self._steps
         near = self.traces[(nearest[:, None] + steps) % size]
         with np.errstate(divide="ignore"):
             cot = np.abs(1.0 / np.tan((np.pi / size) * steps - 0.5 * offset[:, None]))
         cot[near == 0.0] = 0.0
         scale = (near * cot).sum(axis=1) + self.far_scale[nearest]
         return h, far, scale
+
+    def evaluate(self, origin: np.ndarray, t: np.ndarray):
+        """`parameters` with H and the far slope as r x r matrices."""
+        h, far, scale = self.parameters(origin, t)
+        return self.matrices(h), self.matrices(far), scale
 
     def inertia_at_nodes(self) -> np.ndarray:
         """Negative eigenvalues of H just left of each coupled node: those of
@@ -333,7 +365,7 @@ class _Secular:
         m = self.partial
         if m.size:
             # the node-centred series at offset 0: x / sin(x/2) -> 2
-            h = self._matrices(-2.0 * self.table[OVERSAMPLE * m, 0]) + np.diag(self.diag)
+            h = self.matrices(-2.0 * self.table[OVERSAMPLE * m, 0] + self._diag_flat)
             widths = np.array([z.shape[1] for z in self.null])
             for width in np.unique(widths):
                 pick = np.flatnonzero(widths == width)
@@ -346,7 +378,7 @@ class _Secular:
 def _taylor_table(seq: np.ndarray) -> np.ndarray:
     """Taylor tables of the secular sums of the columns c of seq, shape
     (OVERSAMPLE M, TAYLOR_TERMS + 1, columns), from one real FFT per column
-    and one inverse real FFT per column and order.
+    and one inverse real FFT per column and order, built a column at a time.
 
     With w_n = (n - M/2)/M, row g holds T_p(g) = Re sum_n (i w_n)^p c^_n
     e^{i(n - M/2) theta_g} at theta_g = 2 pi g / (OVERSAMPLE M), so that
@@ -361,22 +393,77 @@ def _taylor_table(seq: np.ndarray) -> np.ndarray:
     # c is real, so T_p is the inverse real FFT of the frequencies
     # n - M/2 = 0 .. M/2 - 1 of (i w)^p c^, with half of the unpaired n = 0
     # at frequency M/2
-    spectrum = np.fft.rfft(seq, axis=0)
-    iw = (1j / size) * np.arange(size // 2 + 1)
-    half = np.zeros((fine // 2 + 1, orders.size, cols), dtype=complex)
-    half[:size // 2 + 1] = (iw[:, None] ** orders)[:, :, None] * spectrum[::-1].conj()[:, None]
-    half[size // 2] *= 0.5
-    table = np.fft.irfft(half, fine, axis=0) * fine
+    spectrum = np.fft.rfft(seq, axis=0)[::-1].conj()
+    powers = ((1j / size) * np.arange(size // 2 + 1))[:, None] ** orders
     own = ((1j / size) * (np.arange(size) - size // 2))[:, None] ** orders
     own = own.sum(axis=0).real
-    parity = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)[:, None, None]
-    at_nodes = parity * table[::OVERSAMPLE, 1:] - own[1:, None] * seq[:, None, :]
-    table[::OVERSAMPLE, :-1] = at_nodes / orders[1:, None]
-    return table[:, :-1]
+    parity = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)[:, None]
+    table = np.empty((fine, TAYLOR_TERMS + 1, cols))
+    half = np.zeros((fine // 2 + 1, orders.size), dtype=complex)
+    for c in range(cols):
+        half[:size // 2 + 1] = powers * spectrum[:, c, None]
+        half[size // 2] *= 0.5
+        column = np.fft.irfft(half, fine, axis=0)
+        column *= fine
+        column[::OVERSAMPLE, :-1] = (parity * column[::OVERSAMPLE, 1:]
+                                     - own[1:] * seq[:, c, None]) / orders[1:]
+        table[:, :, c] = column[:, :-1]
+    return table
 
 
-def _quadratic_form(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    return np.einsum("li,lij,lj->l", x.conj(), mats, x).real
+def _branch_2x2(h: np.ndarray, branch: np.ndarray):
+    """Eigenvalue `branch` (0 the smaller) of each Hermitian [[a, b], [b*, d]]
+    with parameters (a, Re b, d, Im b), a unit eigenvector x and the weights
+    w with x* M x = sum_p w_p flat_p, in closed form.
+
+    As in LAPACK's dlaev2: the eigenvalue of larger modulus comes from
+    hypot(a - d, 2|b|), the other as det/big, and the top eigenvector of
+    [[a, |b|], [|b|, d]] from ((a - d)/2, |b|) without cancellation; the
+    phase of b carries it over to H."""
+    a, br, d, bi = h.T
+    beta = np.hypot(br, bi)
+    sm, df = a + d, a - d
+    rt = np.hypot(df, 2.0 * beta)
+    big = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+    wide = np.abs(a) > np.abs(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = (np.where(wide, a, d) / big) * np.where(wide, d, a) - (beta / big) * beta
+    small[big == 0.0] = 0.0
+    top = branch == 1
+    # big is the top eigenvalue unless a + d < 0
+    lam = np.where(top == (sm < 0.0), small, big)
+    # the top eigenvector is (|a - d| + rt, 2|b|) for a >= d, swapped for a < d
+    lead = np.abs(df) + rt
+    lead[lead == 0.0] = 1.0
+    length = np.hypot(lead, 2.0 * beta)
+    lead, cross = lead / length, (2.0 * beta) / length
+    down = df < 0.0
+    cos, sin = np.where(down, cross, lead), np.where(down, lead, cross)
+    u0, u1 = np.where(top, cos, -sin), np.where(top, sin, cos)
+    unit = beta > 0.0
+    safe = np.where(unit, beta, 1.0)
+    re, im = np.where(unit, br / safe, 1.0), bi / safe
+    x = np.stack([u0, u1 * (re - 1j * im)], axis=1)
+    uu = 2.0 * u0 * u1
+    weights = np.stack([u0 * u0, uu * re, u1 * u1, uu * im], axis=1)
+    return lam, x, weights
+
+
+def _branch_pairs(sec: _Secular, h: np.ndarray, branch: np.ndarray):
+    """Eigenvalue `branch` (ascending) of each H with parameters h, a unit
+    eigenvector x, and the weights w with x* M x = sum_p w_p flat_p for every
+    Hermitian M.  The size r picks the solver: for r = 1, H itself with
+    x = 1 and w = 1 (LAPACK's 1 x 1 eigenpair and quadratic forms, exactly),
+    a closed form for r = 2 and LAPACK for r >= 3."""
+    n = h.shape[0]
+    if sec.r == 1:
+        return h[:, 0], np.ones((n, 1), dtype=complex), np.ones((n, 1))
+    if sec.r == 2:
+        return _branch_2x2(h, branch)
+    lam, x = np.linalg.eigh(sec.matrices(h))
+    pick = np.arange(n)
+    lam, x = lam[pick, branch], x[pick, :, branch]
+    return lam, x, sec.form_weights(x)
 
 
 def _model_distance(phi, near, far_slope, s, delta):
@@ -408,15 +495,20 @@ def _secular_roots(sec: _Secular, left: np.ndarray, steps: np.ndarray,
     delta = (TWO_PI / sec.size) * steps
     vec = np.empty((n, sec.r), dtype=complex)
     norm = np.empty(n)
+    chunk = max(1, GATHER_BYTES // sec.table[0].nbytes)
+
+    def solve(idx, pole, t):
+        h, far, scale = sec.parameters(pole, t)
+        lam, x, weights = _branch_pairs(sec, h, branch[idx])
+        near = np.einsum("lp,lp->l", weights, sec.flat[pole])
+        return lam, x, near, np.einsum("lp,lp->l", weights, far), scale
 
     def evaluate(idx, pole, t):
-        h, far, scale = sec.evaluate(pole, t)
-        lam, x = np.linalg.eigh(h)
-        pick = np.arange(idx.size)
-        lam, x = lam[pick, branch[idx]], x[pick, :, branch[idx]]
-        near = _quadratic_form(x, sec.q[pole])
-        far = _quadratic_form(x, far)
-        return lam, x, near, far, scale
+        if idx.size <= chunk:
+            return solve(idx, pole, t)
+        parts = [solve(idx[lo:lo + chunk], pole[lo:lo + chunk], t[lo:lo + chunk])
+                 for lo in range(0, idx.size, chunk)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     every = np.arange(n)
     lam, _, near, far, _ = evaluate(every, left, 0.5 * delta)
@@ -483,10 +575,11 @@ def spectral_nu1(model: TruncatedModel) -> SpectralMeasure:
     left, steps = cols[arcs], steps[arcs]
 
     origin, t, vec, norm = _secular_roots(sec, left, steps, branch)
-    angles = np.mod(model.nodes[origin] + t, TWO_PI)
     amp = vec @ sec.amplitudes.T
-    masses = amp[:, :, None] * amp.conj()[:, None, :] / norm[:, None, None]
     still = np.repeat(np.arange(size), k - sec.ranks)
+    del sec  # the masses need no Taylor table
+    angles = np.mod(model.nodes[origin] + t, TWO_PI)
+    masses = amp[:, :, None] * amp.conj()[:, None, :] / norm[:, None, None]
     angles = np.concatenate([angles, model.nodes[still]])
     masses = np.concatenate([masses, np.zeros((still.size, k, k), dtype=complex)])
 

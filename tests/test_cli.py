@@ -666,6 +666,27 @@ def test_construct_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert tables[0] == tables[1], name
 
 
+def test_model_check_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fresh processes under one and two BLAS threads write the same tables;
+    # the k = 3 spec takes LAPACK's eigensolver in the spectral pass.  Larger
+    # models (W_COS at M = 16384, k = 3 at M = 2048) still write tables that
+    # depend on the thread count, through the BLAS products and the SVD over
+    # M*k terms in psi_direct and build_model
+    spec = tmp_path / "k3.json"
+    save_weight_spec(random_polynomial_weight(np.random.default_rng(3), 3), str(spec))
+    for name, args in (("W_COS", ["--fixture", "W_COS", "--modes", "64", "4096"]),
+                       ("k3", ["--weight-spec", str(spec), "--modes", "64", "1024"])):
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_{threads}.csv"
+            env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "twoweight.cli", "model-check", *args,
+                            "-o", str(out)], env=env, capture_output=True, timeout=300,
+                           check=True)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1], name
+
+
 # -- the block CSV writer ----------------------------------------------------------
 
 def _assert_formats_exactly(values, cols=64):

@@ -6,9 +6,9 @@ import pytest
 
 from twoweight.circle import CircleGrid
 from twoweight.debranges import build_system
-from twoweight.model import (CLUSTER, _Secular, build_model, cross_validate,
-                             intertwine_residual, model_identity_residual, psi_direct,
-                             spectral_nu1, unitarity_residual)
+from twoweight.model import (CLUSTER, _branch_2x2, _branch_pairs, _Secular, build_model,
+                             cross_validate, intertwine_residual, model_identity_residual,
+                             psi_direct, spectral_nu1, unitarity_residual)
 from twoweight.verify import CHECKS
 from twoweight.weights import MatrixWeight, fixture, normalize, random_polynomial_weight
 
@@ -283,6 +283,87 @@ def test_secular_fft_matches_direct_sum():
             # the nearest node), good to a few per cent
             ratio = scale / (scale_ref + sec.diag.sum())
             assert np.all((ratio > 0.9) & (ratio < 1.1)), (label, size)
+
+
+def test_scalar_branch_is_lapacks_eigenpair_bit_for_bit():
+    # r = 1: the eigenvalue is H itself and the eigenvector 1, as LAPACK
+    # returns them for the complex 1 x 1 stack, and the weighted forms are
+    # the complex quadratic forms of that eigenvector
+    rng = np.random.default_rng(11)
+    for size in (64, 1024):
+        sec = _Secular(build_model(fixture("W_COS"), size))
+        origin, t = _secular_points(sec, rng, 300)
+        h, far, _ = sec.parameters(origin, t)
+        lam, x, weights = _branch_pairs(sec, h, np.zeros(t.size, dtype=int))
+        ref_lam, ref_x = np.linalg.eigh(sec.matrices(h))
+        assert np.array_equal(lam, ref_lam[:, 0]), size
+        assert np.array_equal(x, ref_x[:, :, 0]), size
+        for mats in (far, sec.flat[origin]):
+            ref = np.einsum("li,lij,lj->l", x.conj(), sec.matrices(mats), x).real
+            assert np.array_equal(np.einsum("lp,lp->l", weights, mats), ref), size
+
+
+def _hermitian_2x2(a, b, d):
+    h = np.empty((np.size(a), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1] = a, b, np.conj(b), d
+    return h
+
+
+def test_closed_form_2x2_matches_lapack():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(22)
+    count = 400
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, count)
+    a, d = rng.standard_normal((2, count)) * scale
+    b = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * scale
+    # diagonal, exactly degenerate (b = 0, a = d), rank 1 (v v*) and zero
+    v = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    a = np.concatenate([a, [2.0, -3.0, 0.0, 1e-150], [5.0, -5.0, 0.0, 1e150],
+                        np.abs(v[0]) ** 2, [0.0]])
+    d = np.concatenate([d, [-7.0, 1e-300, 4.0, 1e150], [5.0, -5.0, 0.0, 1e150],
+                        np.abs(v[1]) ** 2, [0.0]])
+    b = np.concatenate([b, np.zeros(8), v[0] * v[1].conj(), [0.0]])
+    h = _hermitian_2x2(a, b, d)
+    ref = np.linalg.eigvalsh(h)
+    size = np.abs(ref).max(axis=1)
+    params = np.stack([a, b.real, d, b.imag], axis=1)
+    for branch in (0, 1):
+        lam, x, weights = _branch_2x2(params, np.full(a.size, branch))
+        assert np.all(np.abs(lam - ref[:, branch]) <= 4.0 * eps * size), branch
+        residual = np.abs(np.einsum("lij,lj->li", h, x) - lam[:, None] * x).max(axis=1)
+        assert np.all(residual <= 8.0 * eps * size), branch
+        assert np.all(np.abs(np.linalg.norm(x, axis=1) - 1.0) <= 4.0 * eps), branch
+        # the weights give the quadratic form x* M x of any Hermitian M
+        m = rng.standard_normal((4, a.size))
+        form = np.einsum("li,lij,lj->l", x.conj(), _hermitian_2x2(m[0], m[1] + 1j * m[3], m[2]),
+                         x).real
+        assert np.allclose(np.einsum("lp,pl->l", weights, m), form, rtol=0.0, atol=1e-14)
+
+
+def test_spectral_k4_at_m8192_in_bounded_memory():
+    # the Newton passes evaluate their roots in chunks and the table is built
+    # a column at a time; with one chunk per pass the peak is about 150 MB
+    model = build_model(random_polynomial_weight(np.random.default_rng(4), 4), 8192)
+    tracemalloc.start()
+    try:
+        measure = spectral_nu1(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    assert measure.angles.size == 8192 * 4
+    assert np.abs(measure.total_mass() - model.gg_star).max() < 1e-12
+
+
+def test_chunked_newton_passes_keep_the_bytes(monkeypatch):
+    import twoweight.model as model_module
+    model = build_model(random_polynomial_weight(np.random.default_rng(3), 3), 256)
+    whole = spectral_nu1(model)
+    # 4000 bytes hold the Taylor rows of two roots at r = 3
+    monkeypatch.setattr(model_module, "GATHER_BYTES", 4000)
+    chunked = spectral_nu1(model)
+    assert np.array_equal(whole.angles, chunked.angles)
+    assert np.array_equal(whole.masses, chunked.masses)
 
 
 def test_spectral_at_m16384_in_small_memory():
