@@ -1,4 +1,4 @@
-"""Uniform circle grids, matrix-valued Fourier analysis, and the Poisson kernel."""
+"""Uniform circle grids and matrix-valued Fourier analysis."""
 
 from __future__ import annotations
 
@@ -88,23 +88,6 @@ class MatrixSampleField:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-
-def poisson_kernel(r: float, theta):
-    """(1 - r^2) / (1 + r^2 - 2 r cos(theta)).
-
-    Defined for r in [0, 1) and r > 1 (negative there); r = 1 is a domain
-    error because the kernel degenerates to a distribution on the circle.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 1:
-        raise ValueError("Poisson kernel is undefined at r = 1")
-    theta = np.asarray(theta, dtype=float)
-    out = (1.0 - r * r) / (1.0 + r * r - 2.0 * r * np.cos(theta))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def synthesize_series(coeffs: np.ndarray, grid: CircleGrid) -> np.ndarray:

@@ -353,11 +353,6 @@ class _Secular:
         scale = (near * cot).sum(axis=1) + self.far_scale[nearest]
         return h, far, scale
 
-    def evaluate(self, origin: np.ndarray, t: np.ndarray):
-        """`parameters` with H and the far slope as r x r matrices."""
-        h, far, scale = self.parameters(origin, t)
-        return self.matrices(h), self.matrices(far), scale
-
     def inertia_at_nodes(self) -> np.ndarray:
         """Negative eigenvalues of H just left of each coupled node: those of
         H without the node's own term, compressed to its null space."""

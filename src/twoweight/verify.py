@@ -17,8 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import DEFAULT_SEED
-from .circle import (CircleGrid, TWO_PI, check_grid_size, circle_mean, degree_grid,
-                     poisson_kernel, synthesize_series)
+from .circle import CircleGrid, TWO_PI, check_grid_size, circle_mean, degree_grid
 from .debranges import (DeBrangesSystem, NondegeneracyReport, build_system,
                         nondegeneracy_report)
 from .hardy import HardyOperators, RationalTestFunction, random_test_functions
@@ -275,37 +274,6 @@ def _draw_pairs(rng: np.random.Generator, count: int, include_origin: bool = Tru
 
 # -- individual checks (value <= tolerance means pass) ----------------------
 
-def _check_fft_roundtrip(fx, ctx, rng):
-    w = ctx.weight(fx)
-    grid = CircleGrid(max(ctx.config.grid_size, w.natural_grid().size))
-    fld = w.field_on(grid)
-    back = synthesize_series(np.fft.fft(fld.values, axis=0) / grid.size, grid)
-    return float(np.abs(back - fld.values).max() / (1.0 + np.abs(fld.values).max()))
-
-
-def _check_parseval(fx, ctx, rng):
-    w = ctx.weight(fx)
-    grid = CircleGrid(max(ctx.config.grid_size, w.natural_grid().size))
-    fld = w.field_on(grid)
-    lhs = float((np.abs(fld.values) ** 2).sum(axis=(-1, -2)).mean())
-    # orders -M/2 .. M/2 - 1, summed in that order
-    coeffs = np.fft.fftshift(np.fft.fft(fld.values, axis=0), axes=0) / grid.size
-    rhs = float((np.abs(coeffs) ** 2).sum())
-    return abs(lhs - rhs) / (1.0 + lhs)
-
-
-def _check_poisson_mean(ctx, rng):
-    grid = CircleGrid(ctx.config.grid_size)
-    worst = 0.0
-    for _ in range(5):
-        r = float(rng.uniform(0.3, 0.99))
-        t0 = float(rng.uniform(0.0, TWO_PI))
-        mean = float(poisson_kernel(r, grid.nodes - t0).mean())
-        slack = 3.0 * r ** grid.size
-        worst = max(worst, max(0.0, abs(mean - 1.0) - slack))
-    return worst
-
-
 def _check_normalized(fx, ctx, rng):
     return abs(_mean_norm(ctx.weight(fx)) - 1.0)
 
@@ -415,11 +383,6 @@ def _check_psi1_positivity(fx, ctx, rng):
         lam = np.linalg.eigvalsh(imag_part(system.psi1(z)))
         worst = max(worst, max(0.0, -float(lam.min())))
     return worst
-
-
-def _check_companion_psd(fx, ctx, rng):
-    comp = ctx.ops(fx, ctx.config.grid_size).companion
-    return max(0.0, -float(comp.w1.eigenvalues.min()))
 
 
 def _check_companion_closed_form(fx, ctx, rng):
@@ -663,31 +626,20 @@ def _check_y_isometry(fx, ctx, rng):
     return max(abs(plus - 1.0), abs(minus - 1.0))
 
 
-def _check_x_gram_preservation(fx, ctx, rng):
-    ops = ctx.ops(fx, CONTRACTION_GRID)
+def _check_x_gram(label, ctx, rng):
+    # X preserves the Gram matrix when nu1 is purely a.c. and shrinks it by
+    # at most deficit * sup |Xf|^2 otherwise; the singular part is read from
+    # the measured deficit
+    ops = ctx.ops(label, CONTRACTION_GRID)
     basis = random_test_functions(rng, 8, ops.system.dim)
     data = ops.gram_data("X", basis)
-    scale = 1.0 + float(np.abs(data.gram0).max())
-    return float(np.abs(data.gram0 - data.gram1).max()) / scale
-
-
-def _check_x_gram_onesided(fx, ctx, rng):
-    ops = ctx.ops(fx, CONTRACTION_GRID)
-    basis = random_test_functions(rng, 8, ops.system.dim)
-    diff = ops.x_gram_residual(basis)
+    diff = data.gram0 - data.gram1
+    if ops.companion.deficit <= 1e-8:
+        return float(np.abs(diff).max()) / (1.0 + float(np.abs(data.gram0).max()))
     lam_min = float(np.linalg.eigvalsh(diff).min())
     sup = ops.x_sup(basis, CircleGrid(4 * ops.grid.size))
     worst_diag = float((diff.diagonal().real - ops.companion.deficit * sup).max())
     return max(max(0.0, -lam_min), max(0.0, worst_diag))
-
-
-def _check_x_gram_auto(label, ctx, rng):
-    # singular part unknown up front; pick the matching invariant from the
-    # measured deficit
-    ops = ctx.ops(label, CONTRACTION_GRID)
-    if ops.companion.deficit <= 1e-8:
-        return _check_x_gram_preservation(label, ctx, rng)
-    return _check_x_gram_onesided(label, ctx, rng)
 
 
 def _check_linearity(fx, ctx, rng):
@@ -753,7 +705,6 @@ def _check_koosis_const(ctx, rng):
 # named base[label], and take (label, ctx, rng):
 EVERY = "every"      # every weight, fixtures and --weight-spec weights alike
 FIXTURE = "fixture"  # fixtures only: their closed forms and deficits are known
-X_GRAM = "x_gram"    # the one X Gram row that fits the weight's deficit
 # The other rows run once per suite under their bare name and take (ctx, rng):
 SUITE = "suite"      # whenever a fixture is enabled
 RANDOM = "random"    # when the suite draws random weights
@@ -768,8 +719,6 @@ def _deficit_tolerance(config: SuiteConfig) -> float:
 # (name, default tolerance, scope, check); a callable tolerance is a function
 # of the SuiteConfig
 CHECKS = (
-    ("circle.fft_roundtrip", 1e-12, EVERY, _check_fft_roundtrip),
-    ("circle.parseval", 1e-10, EVERY, _check_parseval),
     ("weights.normalized", 1e-12, EVERY, _check_normalized),
     ("weights.moment_contraction", 1e-10, EVERY, _check_moment_contraction),
     ("weights.spec_roundtrip", 1e-14, EVERY, _check_spec_roundtrip),
@@ -780,7 +729,6 @@ CHECKS = (
     ("herglotz.ladder_vs_exact", 1e-9, EVERY, _check_ladder),
     ("debranges.alpha_identity", 1e-12, EVERY, _check_alpha_identity),
     ("debranges.psi1_positivity", 1e-10, EVERY, _check_psi1_positivity),
-    ("debranges.companion_psd", 1e-12, EVERY, _check_companion_psd),
     ("debranges.companion_ladder", 1e-9, EVERY, _check_companion_ladder),
     ("debranges.sandwich", 1e-8, EVERY, _check_sandwich),
     ("debranges.reconstruction", 1e-6, EVERY, _check_reconstruction),
@@ -802,12 +750,9 @@ CHECKS = (
     ("hardy.y_isometry", 1e-6, EVERY, _check_y_isometry),
     ("hardy.linearity", 1e-12, EVERY, _check_linearity),
     ("hardy.mult_norm_estimate", 1e-8, EVERY, _check_mult_norm),
+    ("hardy.x_gram", 1e-9, EVERY, _check_x_gram),
     ("debranges.companion_closed_form", 1e-8, FIXTURE, _check_companion_closed_form),
     ("debranges.deficit", _deficit_tolerance, FIXTURE, _check_deficit),
-    ("hardy.x_gram_preservation", 1e-9, X_GRAM, _check_x_gram_preservation),
-    ("hardy.x_gram_onesided", 1e-9, X_GRAM, _check_x_gram_onesided),
-    ("hardy.x_gram", 1e-9, X_GRAM, _check_x_gram_auto),
-    ("circle.poisson_mean", 1e-12, SUITE, _check_poisson_mean),
     ("weights.koosis_roundtrip", 1e-12, SUITE, _check_koosis_roundtrip),
     ("weights.muckenhoupt_lower", 1e-10, SUITE, _check_muckenhoupt_lower),
     ("debranges.sandwich_random", 1e-8, RANDOM, _check_sandwich_random),
@@ -826,16 +771,6 @@ CHECKS = (
 _CHECK_NAMES = frozenset(name for name, _, _, _ in CHECKS)
 
 
-def _x_gram_variant(label: str) -> str:
-    """Gram preservation when the weight's deficit is known to be 0, the
-    one-sided bound when it is known to be positive, and the choice from the
-    measured deficit on a --weight-spec weight."""
-    deficit = _DEFICITS.get(label)
-    if deficit is None:
-        return "hardy.x_gram"
-    return "hardy.x_gram_preservation" if deficit == 0.0 else "hardy.x_gram_onesided"
-
-
 def _tolerance(tol, config: SuiteConfig) -> float:
     return tol(config) if callable(tol) else tol
 
@@ -844,15 +779,13 @@ def _weight_checks(label: str, config: SuiteConfig) -> list:
     """(name, default tolerance, callable) for the per-weight rows on label."""
     return [(f"{base}[{label}]", _tolerance(tol, config), partial(fn, label))
             for base, tol, scope, fn in CHECKS
-            if scope == EVERY or (scope == FIXTURE and label in _DEFICITS)
-            or (scope == X_GRAM and base == _x_gram_variant(label))]
+            if scope == EVERY or (scope == FIXTURE and label in _DEFICITS)]
 
 
 # the rows that read the operators on the CONTRACTION_GRID floor, the
 # costliest build of a subject; they form a group of their own (see _split)
 _CONTRACTION_ROWS = frozenset({
     "debranges.trace_budget", "hardy.contraction", "hardy.x_gram",
-    "hardy.x_gram_preservation", "hardy.x_gram_onesided",
     "hardy.projection_quadrature_rate",
 })
 
@@ -968,8 +901,7 @@ def run_suite(config: SuiteConfig) -> Report:
 def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
                       tolerances: Optional[Dict[str, float]] = None,
                       label: str = "WEIGHT") -> Report:
-    """Run the table's every-weight rows, and the X Gram row chosen from the
-    measured deficit, against a user-supplied weight.
+    """Run the table's every-weight rows against a user-supplied weight.
 
     The weight is normalized first; the fixture rows (closed form, deficit)
     are skipped because there is nothing to compare against.  Each row

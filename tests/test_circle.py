@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twoweight.circle import (CircleGrid, MatrixSampleField, TWO_PI, circle_mean,
-                              evaluate_series, poisson_kernel, synthesize_series)
+                              evaluate_series, synthesize_series)
 
 # the long-double references need a format finer than double (x87 extended
 # or IEEE quad); where long double is double they prove nothing
@@ -45,14 +45,6 @@ def test_fft_roundtrip_random_field():
     # the M orders of the FFT, read as orders 0..M-1, sum back to the samples
     back = synthesize_series(np.fft.fft(values, axis=0) / grid.size, grid)
     assert np.abs(back - values).max() < 1e-13
-
-
-def test_poisson_kernel_mean_and_positivity():
-    grid = CircleGrid(256)
-    for r in (0.3, 0.7, 0.95):
-        kernel = poisson_kernel(r, grid.nodes - 1.1)
-        assert np.all(kernel > 0.0)
-        assert abs(kernel.mean() - 1.0) < 3.0 * r ** 256 + 1e-13
 
 
 def test_circle_mean():

@@ -274,7 +274,8 @@ def test_secular_fft_matches_direct_sum():
                 zero = np.array([1e-13, 0.5, 1.0 - 1e-13, 1.0 - 1e-7, 1.0, 1.0 + 1e-9])
                 origin = np.append(origin, np.full(zero.size, size // 2 - 1))
                 t = np.append(t, zero * (2.0 * np.pi / size))
-            h, far, scale = sec.evaluate(origin, t)
+            h, far, scale = sec.parameters(origin, t)
+            h, far = sec.matrices(h), sec.matrices(far)
             h_ref, far_ref, scale_ref = _direct_secular(sec, origin, t)
             bound = 64.0 * eps * scale_ref
             assert np.all(np.abs(h - h_ref).max(axis=(1, 2)) <= bound), (label, size)

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from twoweight import verify
-from twoweight.circle import CircleGrid, next_power_of_two, poisson_kernel
+from twoweight.circle import CircleGrid, next_power_of_two
 from twoweight.debranges import build_system
 from twoweight.hardy import HardyOperators
 from twoweight.herglotz import neville_extrapolate, radial_limit
 from twoweight.model import BUILD_CAP
-from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, X_GRAM, CheckResult,
+from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, CheckResult,
                               Report, SuiteConfig, enumerate_checks,
                               koosis_pipeline, nondegeneracy_report, parse_report,
                               run_suite, run_weight_checks)
@@ -61,18 +61,16 @@ def test_tolerance_override_must_name_a_check():
 def test_check_table_scopes():
     diag = check_names(SuiteConfig(fixtures=("W_DIAG",), random_weights=0))
     assert "model.spectral_ramp" in diag
-    assert "hardy.x_gram_preservation[W_DIAG]" in diag
-    assert "hardy.x_gram_onesided[W_DIAG]" not in diag
+    assert "hardy.x_gram[W_DIAG]" in diag
     for name in ("model.spectral_atom_window", "hardy.projection_quadrature_rate",
                  "verify.koosis_inverse_cos", "verify.koosis_galerkin",
                  "debranges.sandwich_random", "hardy.gram_identity_random"):
         assert name not in diag
 
     cos = check_names(SuiteConfig(fixtures=("W_COS",), random_weights=2))
-    for name in ("model.spectral_atom_window", "hardy.x_gram_onesided[W_COS]",
+    for name in ("model.spectral_atom_window", "hardy.x_gram[W_COS]",
                  "debranges.sandwich_random"):
         assert name in cos
-    assert "hardy.x_gram_preservation[W_COS]" not in cos
     assert "model.spectral_ramp" not in cos
 
 
@@ -84,9 +82,9 @@ def test_tolerance_resolution_order():
     })
     assert config.tolerance_for("hardy.contraction[W_COS]", 1e-6) == 5.0
     assert config.tolerance_for("hardy.contraction[W_DIAG]", 1e-6) == 2.0
-    assert config.tolerance_for("circle.parseval[W_COS]", 1e-6) == 1.0
+    assert config.tolerance_for("herglotz.pair_kernel[W_COS]", 1e-6) == 1.0
     bare = SuiteConfig()
-    assert bare.tolerance_for("circle.parseval[W_COS]", 1e-6) == 1e-6
+    assert bare.tolerance_for("herglotz.pair_kernel[W_COS]", 1e-6) == 1e-6
 
 
 def test_report_rejects_duplicate_names():
@@ -144,11 +142,9 @@ def test_run_weight_checks_on_random_weight():
     report = run_weight_checks(weight, seed=7, label="RANDOM")
     assert report.passed, report.summary()
     assert all(name.endswith("[RANDOM]") for name in report.names())
-    # the table's every-weight rows plus the X Gram row picked by the
-    # measured deficit; no closed-form or deficit row
+    # the table's every-weight rows; no closed-form or deficit row
     bases = {name[:-len("[RANDOM]")] for name in report.names()}
-    every = {name for name, _, scope, _ in CHECKS if scope == EVERY}
-    assert bases == every | {"hardy.x_gram"}
+    assert bases == {name for name, _, scope, _ in CHECKS if scope == EVERY}
 
 
 def test_run_weight_checks_sizes_the_grid_from_the_degree():
@@ -161,7 +157,7 @@ def test_run_weight_checks_sizes_the_grid_from_the_degree():
     weight = MatrixWeight.from_samples(np.abs(np.fft.ifft(q, grid.size)) ** 2, grid)
     assert weight.degree == 300
     report = run_weight_checks(weight, seed=7)
-    assert "debranges.companion_psd[WEIGHT]" in report.names()
+    assert "debranges.sandwich[WEIGHT]" in report.names()
     assert [e.name for e in report.entries if e.status == "error"] == []
     # k = 1 Fourier weights 1 + sum c_n cos(n theta) with sum |c_n| = 0.4: the
     # rows on fixed 512..4096-node grids, and every row once the degree grid
@@ -223,7 +219,9 @@ def test_model_rows_stay_small_on_many_samples(monkeypatch):
     values = np.broadcast_to(0.2 * np.eye(3), (1024, 3, 3)).astype(complex)
     for _ in range(3):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        bump = poisson_kernel(0.945, theta - rng.uniform(0, 2 * np.pi))
+        # the Poisson kernel at radius r
+        r, t = 0.945, theta - rng.uniform(0, 2 * np.pi)
+        bump = (1.0 - r * r) / (1.0 + r * r - 2.0 * r * np.cos(t))
         values = values + bump[:, None, None] * np.outer(v, v.conj()) / np.vdot(v, v).real
     weight = MatrixWeight.from_samples(values)
     assert weight.degree == 511
@@ -265,7 +263,7 @@ def test_suite_holds_one_subject_at_a_time(monkeypatch):
     def row(scope, fn):
         def run(*args):
             live.append(set(subject_of.values()))
-            running.append(args[0] if scope in (EVERY, FIXTURE, X_GRAM) else scope)
+            running.append(args[0] if scope in (EVERY, FIXTURE) else scope)
             return fn(*args)
         return run
 
@@ -336,7 +334,7 @@ def test_no_worker_outlives_the_suite(monkeypatch):
 
     # an error that is not a row's ValueError entry reaches the caller
     monkeypatch.setattr(verify, "CHECKS", tuple(
-        (name, tol, scope, broken if name == "circle.poisson_mean" else fn)
+        (name, tol, scope, broken if name == "weights.koosis_roundtrip" else fn)
         for name, tol, scope, fn in CHECKS))
     with pytest.raises(RuntimeError, match="row broke"):
         run_suite(FAST)
@@ -359,7 +357,7 @@ def _contraction_requests(monkeypatch, run):
 
     def row(name, scope, fn):
         def run_row(*args):
-            running.append(f"{name}[{args[0]}]" if scope in (EVERY, FIXTURE, X_GRAM) else name)
+            running.append(f"{name}[{args[0]}]" if scope in (EVERY, FIXTURE) else name)
             return fn(*args)
         return run_row
 
