@@ -19,9 +19,8 @@ DEFAULT_SEED = 1729
 _HOMES = {
     "CircleGrid": "circle", "MatrixSampleField": "circle", "circle_mean": "circle",
     "MatrixWeight": "weights", "FIXTURE_NAMES": "weights", "fixture": "weights",
-    "normalize": "weights", "koosis_transform": "weights", "muckenhoupt_sup": "weights",
-    "random_polynomial_weight": "weights", "load_weight_spec": "weights",
-    "save_weight_spec": "weights",
+    "normalize": "weights", "random_polynomial_weight": "weights",
+    "load_weight_spec": "weights", "save_weight_spec": "weights",
     "HerglotzEvaluator": "herglotz", "radial_limit": "herglotz",
     "DeBrangesSystem": "debranges", "CompanionWeightResult": "debranges",
     "build_system": "debranges",
@@ -32,6 +31,7 @@ _HOMES = {
     "Report": "verify", "SuiteConfig": "verify", "run_suite": "verify",
     "run_weight_checks": "verify", "parse_report": "verify",
     "KoosisResult": "koosis", "koosis_pipeline": "koosis",
+    "koosis_transform": "koosis", "muckenhoupt_sup": "koosis",
     "nondegeneracy_report": "debranges",
 }
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import DEFAULT_SEED, __version__
 from .circle import CircleGrid, check_grid_size
-from .weights import (FIXTURE_NAMES, fixture, load_weight_spec, normalize,
+from .weights import (FIXTURE_NAMES, _number_array, fixture, load_weight_spec, normalize,
                       weight_spec_document)
 
 # Each handler imports the layers it runs when it runs, so starting the CLI
@@ -178,17 +178,14 @@ def _grid_size(text: str) -> int:
 
 
 def _tolerance(text: str):
-    # NAME=VALUE overrides one check; a bare VALUE overrides all ("*")
+    # NAME=VALUE overrides one check, bare VALUE all ("*"); SuiteConfig checks name and range
     name, sep, raw = text.partition("=")
     if not sep:
         name, raw = "*", text
     try:
-        value = float(raw)
+        return name, float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad tolerance {text!r}")
-    if not np.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be finite and >= 0")
-    return name, value
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -339,12 +336,10 @@ def _scalar_input(args):
                              "--samples takes its grid from the sample count")
         with open(args.samples, "rb") as fh:
             blob = fh.read()
-        data = json.loads(blob.decode())
-        # JSON true and false load as bool, a subclass of int: not values
-        if not isinstance(data, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
+        # read by the weight spec's number rule; koosis_pipeline checks the values
+        v0 = _number_array(json.loads(blob.decode()))
+        if v0 is None or v0.ndim != 1:
             raise ValueError("samples file must hold a flat list of values")
-        v0 = np.asarray(data, dtype=float)
         grid = CircleGrid(check_grid_size(v0.size))
         return v0, grid, args.samples, hashlib.sha256(blob).hexdigest()
     grid = CircleGrid(args.grid_size or DEFAULT_GRID_SIZE)

@@ -1,7 +1,8 @@
 """The scalar companion-weight pipeline: from an inverse weight v0, the
 companion v1 that makes the plain analytic projection a contraction from
 L2(v0) to L2(v1), with its diagnostics (Koosis' theorem read through de
-Branges' construction)."""
+Branges' construction), the scalar weight transform v -> normalize(1/v) it
+starts from, and the dyadic Muckenhoupt diagnostic."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from . import DEFAULT_SEED
 from .circle import CircleGrid
 from .debranges import CompanionWeightResult, build_system
 from .hardy import RationalTestFunction, gram_norm_estimate, random_test_functions
-from .weights import _as_scalar_samples, hermitian_part, koosis_transform, muckenhoupt_sup
+from .weights import VANISH_TOL, MatrixWeight, _unit_scale, hermitian_part
 
 
 def _check_seed(seed) -> None:
@@ -25,6 +26,73 @@ def _check_seed(seed) -> None:
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     """The seeded stream of one named consumer of the seed."""
     return np.random.default_rng([int(seed), zlib.crc32(name.encode("utf-8"))])
+
+
+def _as_scalar_samples(v, grid: CircleGrid) -> np.ndarray:
+    """A checked copy of the scalar samples v of a weight on the grid: one
+    value per node, each positive or +inf (a zero of the inverse weight)."""
+    samples = np.array(v, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError("scalar weight samples must be one-dimensional")
+    if grid.size != samples.shape[0]:
+        raise ValueError("sample count must match the grid size")
+    bad = np.flatnonzero(np.isnan(samples) | (samples == -np.inf))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} must be finite or +inf, got {samples[bad[0]]}")
+    if np.any(samples <= VANISH_TOL):
+        raise ValueError("weight vanishes on a grid point")
+    return samples
+
+
+def koosis_transform(v, grid: CircleGrid):
+    """The scalar weight transform v -> (normalize(1/v), c), c the
+    normalization constant, so that v = c / w.  Samples of +inf are legal in
+    v (they map to zeros of 1/v)."""
+    return _normalized_inverse(_as_scalar_samples(v, grid), grid)
+
+
+def _normalized_inverse(samples: np.ndarray, grid: CircleGrid):
+    """koosis_transform of checked samples, each positive (1/+inf reads 0)."""
+    inverse = MatrixWeight.from_samples(1.0 / samples, grid)
+    c = _unit_scale(inverse)
+    return inverse.scaled(c), c
+
+
+def muckenhoupt_sup(v, grid: CircleGrid) -> float:
+    """Dyadic two-sided average product sup over aligned blocks of 4..M nodes,
+    of trapezoid averages on closed blocks; a block holding a +inf sample
+    (the weight may be +inf at isolated nodes) is left out of the sup."""
+    return _dyadic_sup(_as_scalar_samples(v, grid), grid)
+
+
+def _dyadic_sup(samples: np.ndarray, grid: CircleGrid) -> float:
+    """muckenhoupt_sup of samples that _as_scalar_samples has checked."""
+    m = grid.size
+    ext = np.concatenate([samples, samples[:1]])
+    bad = ~np.isfinite(ext)
+    vz = np.where(bad, 0.0, ext)
+    inv = 1.0 / ext
+    cs_v = np.concatenate([[0.0], np.cumsum(vz)])
+    cs_i = np.concatenate([[0.0], np.cumsum(inv)])
+    cs_bad = np.concatenate([[0], np.cumsum(bad)])
+    best = -np.inf
+    j = 2
+    while (1 << j) <= m:
+        width = 1 << j
+        a = np.arange(0, m, width)
+        b = a + width
+        blocked = (cs_bad[b + 1] - cs_bad[a]) > 0
+        avg_v = (cs_v[b + 1] - cs_v[a] - 0.5 * (vz[a] + vz[b])) / width
+        avg_i = (cs_i[b + 1] - cs_i[a] - 0.5 * (inv[a] + inv[b])) / width
+        prod = avg_v * avg_i
+        prod[blocked] = np.nan
+        finite = prod[np.isfinite(prod)]
+        if finite.size:
+            best = max(best, float(finite.max()))
+        j += 1
+    if not np.isfinite(best):
+        raise ValueError("no dyadic block with finite averages")
+    return best
 
 
 @dataclass(frozen=True)
@@ -63,7 +131,7 @@ def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
     if basis_size < 1:
         raise ValueError("basis_size must be >= 1")
     samples = _as_scalar_samples(v0, grid)
-    w0, constant = koosis_transform(samples, grid)
+    w0, constant = _normalized_inverse(samples, grid)
     system = build_system(w0)
     companion = system.companion_weight(grid)
     v1 = constant * companion.w1.values[:, 0, 0].real
@@ -92,7 +160,7 @@ def koosis_pipeline(v0, grid: CircleGrid, seed: int = DEFAULT_SEED,
     galerkin = gram_norm_estimate(hermitian_part(gram1), hermitian_part(gram0))
 
     try:
-        muck = muckenhoupt_sup(samples, grid)
+        muck = _dyadic_sup(samples, grid)
     except ValueError:
         muck = float("inf")
 

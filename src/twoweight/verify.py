@@ -22,13 +22,13 @@ from .debranges import (DeBrangesSystem, NondegeneracyReport, build_system,
                         nondegeneracy_report)
 from .hardy import HardyOperators, RationalTestFunction, random_test_functions
 from .herglotz import pair_kernel_quadrature, psi_quadrature, radial_limit
-from .koosis import KoosisResult, _check_seed, _rng_for, koosis_pipeline
+from .koosis import (KoosisResult, _check_seed, _rng_for, koosis_pipeline, koosis_transform,
+                     muckenhoupt_sup)
 from .model import (build_model, cross_validate, intertwine_residual,
                     model_identity_residual, spectral_nu1, unitarity_residual)
 from .weights import (FIXTURE_NAMES, MatrixWeight, _mean_norm, adjoint, fixture,
-                      hermitian_part, imag_part, koosis_transform, load_weight_spec,
-                      muckenhoupt_sup, normalize, psd_sqrt, random_polynomial_weight,
-                      save_weight_spec)
+                      hermitian_part, imag_part, load_weight_spec, normalize, psd_sqrt,
+                      random_polynomial_weight, save_weight_spec)
 
 RANDOM_DIM = 3
 CONTRACTION_GRID = 4096
@@ -259,10 +259,8 @@ def _draw_z(rng: np.random.Generator, lo: float = 0.2, hi: float = 0.7,
     return (1.0 + side * gap) * np.exp(1j * rng.uniform(0.0, TWO_PI))
 
 
-def _draw_pairs(rng: np.random.Generator, count: int, include_origin: bool = True):
-    pairs = []
-    if include_origin:
-        pairs.append((_draw_z(rng, inside_only=True), 0.0 + 0.0j))
+def _draw_pairs(rng: np.random.Generator, count: int):
+    pairs = [(_draw_z(rng, inside_only=True), 0.0 + 0.0j)]
     while len(pairs) < count:
         z1 = _draw_z(rng)
         z2 = _draw_z(rng)
@@ -899,8 +897,7 @@ def run_suite(config: SuiteConfig) -> Report:
 
 
 def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
-                      tolerances: Optional[Dict[str, float]] = None,
-                      label: str = "WEIGHT") -> Report:
+                      tolerances: Optional[Dict[str, float]] = None) -> Report:
     """Run the table's every-weight rows against a user-supplied weight.
 
     The weight is normalized first; the fixture rows (closed form, deficit)
@@ -911,7 +908,5 @@ def run_weight_checks(weight: MatrixWeight, seed: int = DEFAULT_SEED,
     groups (see _split) that run as _run_groups says, the normalized weight
     travelling with each group.
     """
-    if label in FIXTURE_NAMES:
-        raise ValueError("label collides with a fixture name")
     config = SuiteConfig(seed=seed, random_weights=0, tolerances=dict(tolerances or {}))
-    return _run_groups(config, (label, normalize(weight)))
+    return _run_groups(config, ("WEIGHT", normalize(weight)))

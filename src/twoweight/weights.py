@@ -1,8 +1,8 @@
 """Matrix-valued weights on the circle.
 
 Covers the weight data model (Fourier or sampled form), Schatten norms,
-mean-norm normalization, the zeroth moment, the scalar weight transform
-v -> normalize(1/v), and the dyadic Muckenhoupt diagnostic.
+mean-norm normalization, the zeroth moment, and the weight spec format with
+the one rule by which every JSON number it holds is read.
 """
 
 from __future__ import annotations
@@ -286,12 +286,17 @@ def _mean_norm(w: MatrixWeight) -> float:
     return float(norms.mean())
 
 
-def normalize(w: MatrixWeight) -> MatrixWeight:
-    """Scale so the circle mean of the pointwise Schatten-p norm equals one."""
+def _unit_scale(w: MatrixWeight) -> float:
+    """The factor that scales the circle mean of the pointwise norm to one."""
     mean_norm = _mean_norm(w)
     if mean_norm <= VANISH_TOL:
         raise ValueError("degenerate weight")
-    return w.scaled(1.0 / mean_norm)
+    return 1.0 / mean_norm
+
+
+def normalize(w: MatrixWeight) -> MatrixWeight:
+    """Scale so the circle mean of the pointwise Schatten-p norm equals one."""
+    return w.scaled(_unit_scale(w))
 
 
 def moment_zero(w: MatrixWeight) -> np.ndarray:
@@ -301,68 +306,6 @@ def moment_zero(w: MatrixWeight) -> np.ndarray:
     if lam.max(initial=0.0) > 1.0 + 1e-6:
         raise ValueError("normalization violated")
     return psd_rebuild(vec, np.clip(lam, 0.0, 1.0))
-
-
-def _as_scalar_samples(v, grid: CircleGrid) -> np.ndarray:
-    samples = np.asarray(v, dtype=float)
-    if samples.ndim != 1:
-        raise ValueError("scalar weight samples must be one-dimensional")
-    if grid.size != samples.shape[0]:
-        raise ValueError("sample count must match the grid size")
-    return samples.copy()
-
-
-def koosis_transform(v, grid: CircleGrid):
-    """The scalar weight transform v -> (normalize(1/v), c), c the
-    normalization constant, so that v = c / w.  Samples of +inf are legal in
-    v (they map to zeros of 1/v)."""
-    samples = _as_scalar_samples(v, grid)
-    if np.any(samples <= VANISH_TOL):
-        raise ValueError("weight vanishes on a grid point")
-    with np.errstate(divide="ignore"):
-        inverted = np.where(np.isinf(samples), 0.0, 1.0 / samples)
-    mean_norm = float(np.abs(inverted).mean())
-    if mean_norm <= VANISH_TOL:
-        raise ValueError("degenerate weight")
-    c = 1.0 / mean_norm
-    return MatrixWeight.from_samples(inverted * c, grid), c
-
-
-def muckenhoupt_sup(v, grid: CircleGrid) -> float:
-    """Dyadic two-sided average product sup over aligned blocks of 4..M nodes.
-
-    Trapezoid averages on closed blocks; blocks with non-finite averages
-    (the weight may be +inf at isolated nodes) are excluded from the sup.
-    """
-    samples = _as_scalar_samples(v, grid)
-    if np.any(samples <= VANISH_TOL):
-        raise ValueError("weight vanishes on a grid point")
-    m = grid.size
-    ext = np.concatenate([samples, samples[:1]])
-    bad = ~np.isfinite(ext)
-    vz = np.where(bad, 0.0, ext)
-    inv = np.where(bad, 0.0, 1.0 / ext)
-    cs_v = np.concatenate([[0.0], np.cumsum(vz)])
-    cs_i = np.concatenate([[0.0], np.cumsum(inv)])
-    cs_bad = np.concatenate([[0], np.cumsum(bad)])
-    best = -np.inf
-    j = 2
-    while (1 << j) <= m:
-        width = 1 << j
-        a = np.arange(0, m, width)
-        b = a + width
-        blocked = (cs_bad[b + 1] - cs_bad[a]) > 0
-        avg_v = (cs_v[b + 1] - cs_v[a] - 0.5 * (vz[a] + vz[b])) / width
-        avg_i = (cs_i[b + 1] - cs_i[a] - 0.5 * (inv[a] + inv[b])) / width
-        prod = avg_v * avg_i
-        prod[blocked] = np.nan
-        finite = prod[np.isfinite(prod)]
-        if finite.size:
-            best = max(best, float(finite.max()))
-        j += 1
-    if not np.isfinite(best):
-        raise ValueError("no dyadic block with finite averages")
-    return best
 
 
 FIXTURE_NAMES = ("W_CONST", "W_COS", "W_DIAG", "W_RANK1")
@@ -428,16 +371,15 @@ def save_weight_spec(w: MatrixWeight, path) -> None:
         fh.write("\n")
 
 
-def _is_number(value) -> bool:
-    """A JSON number: a Python int or float, never a bool (JSON true/false)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# the types json gives a JSON number (true and false load as bool, not a number)
+_NUMBER_TYPES = {int, float}
 
 
 def _number(value, convert, what: str):
     """convert(value) of a JSON number, or a ValueError naming the spec field
     (a JSON string or true/false is not a number; int() of an infinite one
     overflows)."""
-    if _is_number(value):
+    if type(value) in _NUMBER_TYPES:
         try:
             return convert(value)
         except (ValueError, OverflowError):
@@ -453,56 +395,53 @@ def _integer(value, what: str) -> int:
     return number
 
 
-def _number_rows(rows, dim: int) -> bool:
-    """rows is a dim x dim list of lists of JSON numbers."""
-    return (isinstance(rows, list) and len(rows) == dim
-            and all(isinstance(row, list) and len(row) == dim and all(map(_is_number, row))
-                    for row in rows))
+def _number_array(value) -> Optional[np.ndarray]:
+    """value, a regular nesting of lists of JSON numbers, as one float array
+    by one conversion, then one pass over the element types (float() also
+    reads a string, a bool or null); None when it is ragged, holds anything
+    but numbers or an integer beyond double range."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    elements = [value]
+    for _ in range(array.ndim):
+        elements = chain.from_iterable(elements)
+    return array if set(map(type, elements)) <= _NUMBER_TYPES else None
 
 
-def _matrix_from_entry(entry: dict, dim: int, what: str) -> np.ndarray:
-    """The entry's real (and optional imag) rows as one complex block; every
-    element is checked, so a JSON string, true/false or a value that JSON
-    reads as infinite (1e309) is refused."""
-    real, imag = entry.get("real"), entry.get("imag")
-    if _number_rows(real, dim) and (imag is None or _number_rows(imag, dim)):
-        try:
-            real = np.asarray(real, dtype=float)
-            imag = 0.0 if imag is None else np.asarray(imag, dtype=float)
-        except OverflowError:  # an integer beyond double range
-            pass
-        else:
-            if not (np.isfinite(real).all() and np.isfinite(imag).all()):
-                raise ValueError(f"{what} must be finite")
-            return real + 1j * imag
-    raise ValueError(f"{what} must be a {dim}x{dim} real/imag matrix pair")
-
-
-def _numbers_only(blocks) -> bool:
-    """Every element of the matrices (lists of rows) is a JSON number: one
-    pass over the element types, since float() also reads a string or a
-    bool."""
-    return set(map(type, chain.from_iterable(chain.from_iterable(blocks)))) <= {int, float}
+def _matrix_parts(entries: list, dim: int):
+    """(real, imag, fault) of the entries' matrices, each part one
+    _number_array conversion; an absent or null imag is 0.  fault is "" when
+    both parts are finite (len(entries), dim, dim) stacks, else what fails."""
+    shape = (len(entries), dim, dim)
+    imags = [entry["imag"] for entry in entries if entry.get("imag") is not None]
+    real = _number_array([entry.get("real") for entry in entries])
+    imag = _number_array(imags) if imags else np.zeros(shape)
+    if real is None or imag is None or not real.shape == imag.shape == shape:
+        return None, None, f"must be a {dim}x{dim} real/imag matrix pair"
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        return None, None, "must be finite"
+    return real, imag, ""
 
 
 def _matrix_stack(data: list, dim: int, names) -> np.ndarray:
     """The (len(data), dim, dim) stack of the entries' real (and optional
-    imag) matrices: one conversion each for the real and imaginary parts when
-    every entry is well formed and finite, else the entry-by-entry read that
-    names the first malformed one.  names is an iterable read in step with
-    data by that read alone, so a name may check its entry first."""
-    try:
-        reals = [entry["real"] for entry in data]
-        imags = [entry["imag"] for entry in data if "imag" in entry]
-        real = np.asarray(reals, dtype=float)
-        imag = np.asarray(imags, dtype=float) if imags else np.zeros(real.shape)
-        if (real.shape == imag.shape == (len(data), dim, dim)
-                and _numbers_only(chain(reals, imags))
-                and np.isfinite(real).all() and np.isfinite(imag).all()):
-            return real + 1j * imag
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    return np.stack([_matrix_from_entry(entry, dim, name) for entry, name in zip(data, names)])
+    imag) matrices by one _matrix_parts conversion.  When that fails, the
+    same conversion runs entry by entry, in order: it names the first faulty
+    entry, or stacks entries that only mix imag-less and imag-carrying ones.
+    names is read in step with that loop alone, so a name may check its
+    entry first."""
+    real, imag, fault = _matrix_parts(data, dim)
+    if fault:
+        parts = []
+        for entry, name in zip(data, names):
+            *part, fault = _matrix_parts([entry], dim)
+            if fault:
+                raise ValueError(f"{name} {fault}")
+            parts.append(part)
+        real, imag = map(np.concatenate, zip(*parts))
+    return real + 1j * imag
 
 
 def _fourier_order(entry: dict) -> int:
@@ -533,6 +472,8 @@ def load_weight_spec(path) -> MatrixWeight:
         data = doc["data"]
     except KeyError as exc:
         raise ValueError(f"weight spec missing field {exc}") from exc
+    if dim < 1:
+        raise ValueError("weight spec dim must be >= 1")
     schatten_p = _number(doc.get("schatten_p", 1.0), float, "schatten_p")
     if not isinstance(data, list) or not data:
         raise ValueError("weight spec data must be a non-empty list")

@@ -194,6 +194,19 @@ def test_verify_unknown_tolerance_name_exits_two(tmp_path, capsys):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("nan", "tolerance override '*' must be finite and >= 0"),
+    ("W=-1", "tolerance override 'W' names no check"),
+    ("weights.normalized=-1", "tolerance override 'weights.normalized' must be finite and >= 0"),
+])
+def test_verify_bad_tolerance_exits_two_with_one_line(tmp_path, capsys, override, message):
+    # the option parses [NAME=]VALUE; SuiteConfig alone checks the name and range
+    report_path = tmp_path / "report.txt"
+    assert main(["verify", "--fixtures", "-t", override, "-o", str(report_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report_path.exists()
+
+
 def test_report_fail_and_garbage(tmp_path, capsys):
     path = tmp_path / "saved.txt"
     path.write_text("status=fail\nchecks=1\n"
@@ -449,6 +462,19 @@ HOSTILE = {
     "infinite-sample": (json.dumps({"dim": 1, "kind": "samples", "data": [
         *_UNIT_SAMPLES[:7], {"real": [[float("inf")]], "imag": [[0.0]]},
         *_UNIT_SAMPLES[8:]]}), "sample 7 must be finite"),
+    # the entry-by-entry read names the first faulty entry, whichever its fault
+    "infinite-then-string": (json.dumps({"dim": 1, "kind": "samples", "data": [
+        *_UNIT_SAMPLES[:2], {"real": [[float("inf")]]}, *_UNIT_SAMPLES[3:5],
+        {"real": [["1"]]}, *_UNIT_SAMPLES[6:]]}), "sample 2 must be finite"),
+    "string-then-infinite": (json.dumps({"dim": 1, "kind": "samples", "data": [
+        *_UNIT_SAMPLES[:2], {"real": [["1"]]}, *_UNIT_SAMPLES[3:5],
+        {"real": [[float("inf")]]}, *_UNIT_SAMPLES[6:]]}),
+                             "sample 2 must be a 1x1 real/imag matrix pair"),
+    # refused before any entry is read
+    "dim-zero": (json.dumps({"dim": 0, "kind": "fourier", "data": [{"n": 0, "real": []}]}),
+                 "weight spec dim must be >= 1"),
+    "dim-negative": (json.dumps({"dim": -1, "kind": "samples", "data": _UNIT_SAMPLES}),
+                     "weight spec dim must be >= 1"),
     # json reads NaN; p = nan used to load (k = 1) or fail as non-finite samples
     "nan-p-k1": ('{"dim": 1, "schatten_p": NaN, "kind": "fourier", "data": '
                  '[{"n": 0, "real": [[1.0]]}, {"n": 1, "real": [[0.25]]}]}',
@@ -482,6 +508,10 @@ def test_imagless_and_repeated_order_specs_still_load(tmp_path):
     spec.write_text(json.dumps({"dim": 1, "kind": "fourier", "data": [
         _ONE_ORDER, {"n": 1, "real": [[0.4]]},
         {"n": 1, "real": [[0.25]], "imag": [[0.125]]}]}))
+    assert load_weight_spec(spec).fourier[:, 0, 0].tolist() == [1.0, 0.25 + 0.125j]
+    # "imag": null reads as an absent imag, beside entries that carry one
+    spec.write_text(json.dumps({"dim": 1, "kind": "fourier", "data": [
+        {"n": 0, "real": [[1.0]], "imag": None}, {"n": 1, "real": [[0.25]], "imag": [[0.125]]}]}))
     assert load_weight_spec(spec).fourier[:, 0, 0].tolist() == [1.0, 0.25 + 0.125j]
 
 
@@ -552,6 +582,42 @@ def test_scalar_bad_arguments_exit_two_naming_the_field(tmp_path, flag, value, m
     assert done.returncode == 2, done.stderr
     assert done.stderr.splitlines() == [f"error: {message}"], done.stderr
     assert not out.exists()
+
+
+def _unit_samples_with(index, text):
+    """The text of a JSON list of 64 ones whose entry index reads text."""
+    return "[" + ", ".join(text if i == index else "1.0" for i in range(64)) + "]"
+
+
+# samples file text -> the one stderr line of scalar (None: a valid file)
+SCALAR_SAMPLES = {
+    # a JSON integer beyond double range overflows float()
+    "huge-integer": (_unit_samples_with(3, "1" + "0" * 400),
+                     "samples file must hold a flat list of values"),
+    "nan": (_unit_samples_with(2, "NaN"), "sample 2 must be finite or +inf, got nan"),
+    "minus-infinity": (_unit_samples_with(3, "-Infinity"),
+                       "sample 3 must be finite or +inf, got -inf"),
+    "string": (_unit_samples_with(4, '"1.0"'), "samples file must hold a flat list of values"),
+    "bool": (_unit_samples_with(5, "true"), "samples file must hold a flat list of values"),
+    "nested": (_unit_samples_with(6, "[1.0]"), "samples file must hold a flat list of values"),
+    # a zero of the inverse weight
+    "plus-infinity": (_unit_samples_with(7, "Infinity"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_SAMPLES))
+def test_scalar_samples_file_is_read_by_the_number_rule(tmp_path, capsys, case):
+    text, message = SCALAR_SAMPLES[case]
+    samples = tmp_path / "samples.json"
+    samples.write_text(text)
+    out = tmp_path / "scalar.csv"
+    rc = main(["scalar", "--samples", str(samples), "-o", str(out)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0 and err == "" and out.exists()
+        assert np.isinf(_table(out)["v0"][7])
+    else:
+        assert rc == 2 and err == f"error: {message}\n" and not out.exists()
 
 
 def test_scalar_vanishing_sample_exits_two(tmp_path):

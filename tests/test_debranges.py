@@ -1,12 +1,13 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from twoweight import debranges
-from twoweight.circle import CircleGrid
-from twoweight.debranges import DeBrangesSystem, build_system
-from twoweight.weights import (MatrixWeight, fixture, hermitian_part, normalize,
+from twoweight.circle import TWO_PI, CircleGrid
+from twoweight.debranges import COND_CUTOFF, RESOLVE, DeBrangesSystem, build_system
+from twoweight.weights import (PSD_CLAMP, MatrixWeight, fixture, hermitian_part, normalize,
                                random_polynomial_weight)
 
 RNG = np.random.default_rng(55)
@@ -88,6 +89,49 @@ def test_unresolved_spike_is_flagged():
         result = build_system(_cos_weight(eps)).companion_weight(CircleGrid(256))
         assert list(np.flatnonzero(result.singular_flags)) == [128], eps
         assert result.deficit >= 0.0, eps
+
+
+def test_resolve_clause_flags_the_unresolved_nodes_alone():
+    # w0 = (1 + eps + cos)/(1 + eps): alpha = 0 and D0+ = iF with
+    # F = 1 + e^{i theta}/(1 + eps), so cond(D0+) = max(1, |F|)/|F| peaks at
+    # (1 + eps)/eps on theta = pi, and w1 = Im(i/F) = Re F/|F|^2 everywhere
+    eps, grid = 1e-4, CircleGrid(1024)
+    system = build_system(_cos_weight(eps))
+    result = system.companion_weight(grid)
+    f = 1.0 + grid.points / (1.0 + eps)
+    cond = np.maximum(1.0, np.abs(f)) / np.abs(f)
+    unresolved = cond * (TWO_PI / grid.size) > RESOLVE
+    assert unresolved.any() and cond.max() < COND_CUTOFF
+    assert np.array_equal(result.singular_flags, unresolved)
+    assert np.all(result.w1.values[unresolved] == 0.0)
+    closed = f.real / np.abs(f) ** 2
+    assert np.abs(result.w1.values[~unresolved, 0, 0] - closed[~unresolved]).max() < 1e-8
+    # the flagged spike would move the deficit by more than one
+    assert closed[unresolved].sum() / grid.size > 1.0
+    kept = closed[~unresolved].sum() / grid.size
+    assert abs(result.deficit - (1.0 - kept)) < 1e-10
+
+
+def test_psd_clause_flags_the_nodes_where_w1_dips_below_zero():
+    # two copies of W_COS (alpha = 0 at p = inf) with alpha shifted off
+    # Hermitian by -0.01i: D0+ = i(F - 0.01), F = 1 + e^{i theta}, so
+    # Im psi1+ = -0.01 + Re 1/(F - 0.01) on each copy, negative around
+    # theta = pi, where cond(D0+) <= 100 leaves the cond clause quiet
+    weight = normalize(MatrixWeight.from_fourier([np.eye(2), 0.5 * np.eye(2)],
+                                                 schatten_p=np.inf))
+    system = build_system(weight)
+    system = dataclasses.replace(system, alpha=system.alpha - 0.01j * np.eye(2))
+    grid = CircleGrid(256)
+    result = system.companion_weight(grid)
+    closed = -0.01 + (1.0 / (grid.points + 0.99)).real
+    negative = closed < -PSD_CLAMP
+    assert negative.any()
+    assert not np.any(result.cond_profile * (TWO_PI / grid.size) > RESOLVE)
+    assert np.array_equal(result.singular_flags, negative)
+    assert np.all(result.w1.values[negative] == 0.0)
+    assert np.all(result.w1.eigenvalues[negative] == 0.0)
+    kept = result.w1.values[~negative]
+    assert np.abs(kept - closed[~negative, None, None] * np.eye(2)).max() < 1e-10
 
 
 def test_companion_rank1_decouples_blocks():

@@ -54,7 +54,7 @@ MUTANTS = (
            fails="weights.spec_roundtrip[WEIGHT]"),
     # normalization: the weight comes back unscaled
     Mutant("normalize-dropped", "weights.normalize",
-           "return w.scaled(1.0 / mean_norm)",
+           "return w.scaled(_unit_scale(w))",
            "return w",
            fails="model.identities[WEIGHT] weights.moment_contraction[WEIGHT] "
                  "weights.normalized[WEIGHT]",
@@ -73,12 +73,12 @@ MUTANTS = (
                   "herglotz.positivity[WEIGHT] herglotz.series_vs_quadrature[WEIGHT] "
                   "model.cross_validation[WEIGHT]"),
     # scalar transform: 1/c handed back as the constant c
-    Mutant("koosis-constant-inverted", "weights.koosis_transform",
-           "grid), c",
-           "grid), mean_norm",
+    Mutant("koosis-constant-inverted", "koosis._normalized_inverse",
+           "inverse.scaled(c), c",
+           "inverse.scaled(c), 1.0 / c",
            fails="weights.koosis_roundtrip"),
     # Muckenhoupt averages: the trapezoid end-point halves dropped
-    Mutant("muckenhoupt-endpoints-dropped", "weights.muckenhoupt_sup",
+    Mutant("muckenhoupt-endpoints-dropped", "koosis._dyadic_sup",
            "cs_v[a] - 0.5 * (vz[a] + vz[b])",
            "cs_v[a]",
            fails="weights.muckenhoupt_lower"),

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from twoweight import verify
+from twoweight import DEFAULT_SEED, koosis, verify
 from twoweight.circle import CircleGrid, next_power_of_two
 from twoweight.debranges import build_system
-from twoweight.hardy import HardyOperators
+from twoweight.hardy import HardyOperators, gram_norm_estimate, random_test_functions
 from twoweight.herglotz import neville_extrapolate, radial_limit
 from twoweight.model import BUILD_CAP
 from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, CheckResult,
@@ -19,7 +19,7 @@ from twoweight.verify import (CHECKS, EVERY, FIXTURE, RANDOM, CheckResult,
                               koosis_pipeline, nondegeneracy_report, parse_report,
                               run_suite, run_weight_checks)
 from twoweight.weights import (FIXTURE_NAMES, MAX_ORDER, MatrixWeight, fixture,
-                               imag_part, random_polynomial_weight)
+                               hermitian_part, imag_part, random_polynomial_weight)
 
 FAST = SuiteConfig(fixtures=("W_CONST",), random_weights=0)
 
@@ -139,11 +139,11 @@ def test_zero_tolerance_turns_failures_into_entries():
 def test_run_weight_checks_on_random_weight():
     rng = np.random.default_rng(11)
     weight = random_polynomial_weight(rng, 1)
-    report = run_weight_checks(weight, seed=7, label="RANDOM")
+    report = run_weight_checks(weight, seed=7)
     assert report.passed, report.summary()
-    assert all(name.endswith("[RANDOM]") for name in report.names())
+    assert all(name.endswith("[WEIGHT]") for name in report.names())
     # the table's every-weight rows; no closed-form or deficit row
-    bases = {name[:-len("[RANDOM]")] for name in report.names()}
+    bases = {name[:-len("[WEIGHT]")] for name in report.names()}
     assert bases == {name for name, _, scope, _ in CHECKS if scope == EVERY}
 
 
@@ -434,11 +434,6 @@ def test_quadrature_rows_pass_across_seeds():
                 assert value <= 200.0 / size ** 2, (seed, name, value)
 
 
-def test_run_weight_checks_rejects_fixture_label():
-    with pytest.raises(ValueError, match="label"):
-        run_weight_checks(fixture("W_CONST"), label="W_CONST")
-
-
 def test_koosis_pipeline_inverse_cos():
     grid = CircleGrid(256)
     with np.errstate(divide="ignore"):
@@ -451,6 +446,48 @@ def test_koosis_pipeline_inverse_cos():
     assert diag["galerkin_estimate"] <= 1.0 + 1e-6
     assert abs(diag["deficit"] - 0.5) < 5.0 / 256
     assert np.isfinite(diag["muckenhoupt_sup"])
+
+
+def test_koosis_galerkin_estimate_matches_the_fft_projection():
+    """The pipeline projects each basis function by keeping its outside-pole
+    terms; here the projection is its nonnegative Fourier modes on the
+    pipeline grid, by one FFT.  A pole at standoff s >= 0.05 has Fourier
+    coefficients of modulus at most (1 + s)^-n or (1 - s)^(n - 1) at order
+    +-n, so the orders |n| >= M/2 that the FFT folds into the kept band weigh
+    below e^(-M s / (2 (1 + s))) / s < 1e-41 at M = 4096: the two routes differ by
+    roundoff alone (1e-15 of the estimate), and 1e-12 bounds it."""
+    grid = CircleGrid(4096)
+    with np.errstate(divide="ignore"):
+        v0 = 1.0 / (1.0 + np.cos(grid.nodes))
+    result = koosis_pipeline(v0, grid)
+    basis = random_test_functions(koosis._rng_for(DEFAULT_SEED, "koosis-basis"), 12, 1,
+                                  standoff_range=(0.05, 0.9))
+    assert min(f.standoff for f in basis) >= 0.05
+    fields = np.stack([f(grid.points)[:, 0] for f in basis], axis=1)
+    modes = np.fft.fft(fields, axis=0)
+    modes[grid.size // 2:] = 0.0
+    images = np.fft.ifft(modes, axis=0)
+    usable = result.unflagged & np.isfinite(v0)
+    weight0 = np.where(usable, v0, 0.0)
+    weight1 = np.where(usable, result.v1, 0.0)
+    gram0 = (fields.conj().T * weight0) @ fields / grid.size
+    gram1 = (images.conj().T * weight1) @ images / grid.size
+    estimate = gram_norm_estimate(hermitian_part(gram1), hermitian_part(gram0))
+    assert abs(result.diagnostics["galerkin_estimate"] - estimate) <= 1e-12 * estimate
+
+
+def test_koosis_pipeline_checks_its_samples_once(monkeypatch):
+    calls = []
+    check = koosis._as_scalar_samples
+
+    def counted(v, grid):
+        calls.append(grid.size)
+        return check(v, grid)
+
+    monkeypatch.setattr(koosis, "_as_scalar_samples", counted)
+    grid = CircleGrid(64)
+    koosis_pipeline(1.5 + np.cos(grid.nodes), grid)
+    assert calls == [64]
 
 
 def test_koosis_pipeline_rejects_vanishing_input():

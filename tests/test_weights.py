@@ -7,9 +7,9 @@ import pytest
 
 from twoweight import weights
 from twoweight.circle import CircleGrid, next_power_of_two
+from twoweight.koosis import koosis_transform, muckenhoupt_sup
 from twoweight.weights import (FIXTURE_NAMES, MAX_ORDER, MatrixWeight, _mean_norm,
-                               fixture, koosis_transform, load_weight_spec,
-                               muckenhoupt_sup, normalize,
+                               fixture, load_weight_spec, normalize,
                                random_polynomial_weight, save_weight_spec,
                                weight_spec_document)
 
@@ -181,6 +181,17 @@ def test_koosis_rejects_vanishing_samples():
     v0[5] = 0.0
     with pytest.raises(ValueError, match="vanishes"):
         koosis_transform(v0, grid)
+
+
+@pytest.mark.parametrize("value, text", [(np.nan, "nan"), (-np.inf, "-inf")])
+def test_scalar_routes_refuse_nan_and_minus_infinity_naming_the_sample(value, text):
+    # +inf is a zero of the inverse weight, a NaN or -inf sample is no weight
+    grid = CircleGrid(64)
+    v0 = 1.5 + np.cos(grid.nodes)
+    v0[[9, 20]] = [value, np.inf]
+    for route in (koosis_transform, muckenhoupt_sup):
+        with pytest.raises(ValueError, match=rf"^sample 9 must be finite or \+inf, got {text}$"):
+            route(v0, grid)
 
 
 def test_muckenhoupt_sup():
@@ -358,9 +369,8 @@ def test_samples_spec_stack_matches_entry_by_entry_read(tmp_path):
 
 
 def test_fourier_spec_stack_matches_entry_by_entry_read(tmp_path, monkeypatch):
-    """A Fourier spec of orders 0..4096 loads by the one-conversion read (the
-    entry-by-entry read is made to fail) to the coefficients that the
-    entry-by-entry read builds."""
+    """A Fourier spec of orders 0..4096 loads by one conversion of all its
+    entries to the coefficients that an entry-by-entry read builds."""
     c = np.random.default_rng(4096).standard_normal(4097) \
         + 1j * np.random.default_rng(4097).standard_normal(4097)
     c *= 0.4 / np.abs(c[1:]).sum()
@@ -368,13 +378,17 @@ def test_fourier_spec_stack_matches_entry_by_entry_read(tmp_path, monkeypatch):
     path = tmp_path / "fourier.json"
     save_weight_spec(MatrixWeight.from_fourier(c), path)
     doc = json.loads(path.read_text())
-    reference = np.stack([weights._matrix_from_entry(e, 1, f"coefficient n={e['n']}")
+    reference = np.stack([np.asarray(e["real"]) + 1j * np.asarray(e["imag"])
                           for e in doc["data"]])
+    conversions = []
+    parts = weights._matrix_parts
 
-    def refuse(*args):
-        raise AssertionError("entry-by-entry read")
+    def counted(entries, dim):
+        conversions.append(len(entries))
+        return parts(entries, dim)
 
-    monkeypatch.setattr(weights, "_matrix_from_entry", refuse)
+    monkeypatch.setattr(weights, "_matrix_parts", counted)
     loaded = load_weight_spec(path)
+    assert conversions == [4097]
     assert loaded.degree == 4096
     assert loaded.fourier.tobytes() == MatrixWeight.from_fourier(reference).fourier.tobytes()
